@@ -1012,14 +1012,14 @@ func (r *Runner) publish(ctx context.Context, skey string, se *simEntry, res *si
 
 // measureManyBatched is measureMany's single-goroutine fast path: instead of
 // fanning every cell out to its own worker, the sweep claims its sim-cache
-// entries up front and advances all cache-miss cells together through one
-// sim.Batch — an interleaved scheduler whose per-cell engines live in a dense
-// slab, so N cells share one core without goroutine switches. The cache
+// entries up front and runs all cache-miss cells together through one
+// sim.Batch — shard goroutines that each run their cells back to back on one
+// reused engine, so N cells cost one memory arena per shard. The cache
 // protocol is unchanged: claimed entries are singleflight leaders published
 // exactly as MeasureCtx would publish them, so concurrent MeasureCtx callers
 // (and later sweeps) join them without observing any difference, and timing
-// is bit-identical because the batch scheduler never alters a cell's engine
-// state between slices.
+// is bit-identical because every cell is a whole run on an engine Reset for
+// it.
 func (r *Runner) measureManyBatched(ctx context.Context, jobs []job) ([]*sim.Result, error) {
 	results := make([]*sim.Result, len(jobs))
 	errs := make([]error, len(jobs))
@@ -1079,7 +1079,7 @@ func (r *Runner) measureManyBatched(ctx context.Context, jobs []job) ([]*sim.Res
 
 	if len(runs) > 0 {
 		if r.batch == nil {
-			// The batch shards its cell slab across the runner's configured
+			// The batch shards its cells across the runner's configured
 			// worker count (GOMAXPROCS by default): the whole sweep holds one
 			// pool slot — the batched path is opportunistic and singular
 			// (batchMu) — but saturates the cores the pool was sized for.

@@ -8,12 +8,6 @@ import (
 	"ilp/internal/isa"
 )
 
-// batchQuantum is how many dynamic instructions a batched cell advances per
-// turn of the interleave loop. It matches cancelCheckInterval so a slice
-// boundary reuses the poll the fast path already performs — a cell pays no
-// extra compare for being batched.
-const batchQuantum = cancelCheckInterval
-
 // BatchRun is one simulation cell of a Batch: a program and its run options
 // (typically one machine × benchmark pair of a sweep, with Opts.Code set to
 // the shared predecode).
@@ -22,27 +16,24 @@ type BatchRun struct {
 	Opts Options
 }
 
-// Batch advances N independent simulation cells through interleaved loops
-// over a dense engine slab (a value slice — hot scalar state inline, no
-// per-cell goroutine, no per-cycle interface calls). The slab is sharded
-// across min(workers, N) goroutines, one contiguous sub-slab each: within a
-// shard, each turn a cell runs a batchQuantum slice of its fast path, so
-// cache-resident cells share the core without context switches, and a
-// finished cell drops out while the rest keep going.
+// Batch runs N independent simulation cells across min(workers, N) shard
+// goroutines, one contiguous run of cells each. A shard runs its cells one
+// after another on a single reused Engine, so a batch holds one memory arena
+// per shard, not one per cell, and each Reset clears only what the previous
+// cell stored to.
 //
 // Timing is bit-identical to running each cell alone, whatever the worker
-// count: runFast's stopAt mechanism writes all state back at a slice
-// boundary and resumes exactly where it stopped, cells share nothing but
-// immutable predecoded Code, and every worker owns disjoint elements of the
-// runs/engines/results/errors slices — no shared mutable state, and result
-// order is the input order by construction. Per-cell error isolation and
-// budget/cancellation semantics are those of the serial loop, applied
-// per shard.
+// count: every cell is a whole RunIntoCtx on an engine Reset for it, cells
+// share nothing but immutable predecoded Code, and every shard owns its
+// engine and disjoint elements of the results/errors slices — no shared
+// mutable state, and result order is the input order by construction.
+// Per-cell error isolation and budget/cancellation semantics are those of
+// RunIntoCtx, applied cell by cell.
 //
 // A Batch is not safe for concurrent use; use one per caller at a time.
 // Engines (and their memory arenas) are reused across Run calls.
 type Batch struct {
-	engines []Engine
+	engines []Engine // one per shard
 	// workers caps the shard goroutines Run spawns; 0 means GOMAXPROCS.
 	workers int
 	// Diagnostics of the last Run (see Shards, Mispaths, Replays).
@@ -52,7 +43,7 @@ type Batch struct {
 }
 
 // NewBatch returns an empty batch sharding across GOMAXPROCS workers;
-// engine slabs grow on first Run.
+// engines are created on first Run.
 func NewBatch() *Batch { return &Batch{} }
 
 // NewBatchWorkers returns an empty batch sharding across at most workers
@@ -72,11 +63,8 @@ func (b *Batch) Mispaths() int64 { return b.mispaths }
 func (b *Batch) Replays() int64 { return b.replays }
 
 // Run simulates every cell to completion and returns per-cell results and
-// errors (res[i] is nil exactly when errs[i] is non-nil). Cells needing the
-// instrumented path (caches or callbacks) cannot be sliced and run to
-// completion on their first turn; fast-path cells interleave in
-// batchQuantum slices. A done ctx abandons the remaining cells with the
-// context's cause.
+// errors (res[i] is nil exactly when errs[i] is non-nil). A done ctx
+// abandons the remaining cells with the context's cause.
 func (b *Batch) Run(ctx context.Context, runs []BatchRun) ([]*Result, []error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -84,104 +72,57 @@ func (b *Batch) Run(ctx context.Context, runs []BatchRun) ([]*Result, []error) {
 	n := len(runs)
 	results := make([]*Result, n)
 	errs := make([]error, n)
-	for len(b.engines) < n {
-		b.engines = append(b.engines, Engine{})
-	}
 
 	w := b.workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > n {
-		w = n
+	w = min(w, n)
+	b.shards, b.mispaths, b.replays = w, 0, 0
+	if w == 0 {
+		return results, errs
 	}
-	b.shards = w
-	if w <= 1 {
-		b.runShard(ctx, runs, results, errs, 0, n)
-	} else {
-		// One contiguous sub-slab per worker, sizes within one cell of
-		// each other. The slab was grown above, so no worker can move it.
-		var wg sync.WaitGroup
-		for s := 0; s < w; s++ {
-			lo, hi := n*s/w, n*(s+1)/w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				b.runShard(ctx, runs, results, errs, lo, hi)
-			}()
-		}
-		wg.Wait()
+	for len(b.engines) < w {
+		b.engines = append(b.engines, Engine{})
 	}
 
-	b.mispaths, b.replays = 0, 0
-	for i := 0; i < n; i++ {
-		if errs[i] == nil {
-			b.mispaths += b.engines[i].mispaths
-			b.replays += b.engines[i].replays
-		}
+	// One contiguous run of cells per shard, sizes within one cell of each
+	// other. The engine slice was grown above, so no shard can move it.
+	tallies := make([]shardTally, w)
+	var wg sync.WaitGroup
+	for s := 1; s < w; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tallies[s] = runShard(ctx, &b.engines[s], runs, results, errs, n*s/w, n*(s+1)/w)
+		}()
+	}
+	tallies[0] = runShard(ctx, &b.engines[0], runs, results, errs, 0, n/w)
+	wg.Wait()
+
+	for _, t := range tallies {
+		b.mispaths += t.mispaths
+		b.replays += t.replays
 	}
 	return results, errs
 }
 
-// runShard runs cells [lo, hi) to completion, writing only those elements
-// of results and errs. It is the whole serial batch loop, applied to one
-// worker's sub-slab.
-func (b *Batch) runShard(ctx context.Context, runs []BatchRun, results []*Result, errs []error, lo, hi int) {
-	// Reset every cell, completing the unsliceable ones immediately.
-	active := make([]int, 0, hi-lo)
-	maxI := make([]int64, hi)
+// shardTally sums one shard's diagnostics over its completed cells.
+type shardTally struct{ mispaths, replays int64 }
+
+// runShard runs cells [lo, hi) one after another on e, writing only those
+// elements of results and errs.
+func runShard(ctx context.Context, e *Engine, runs []BatchRun, results []*Result, errs []error, lo, hi int) shardTally {
+	var t shardTally
 	for i := lo; i < hi; i++ {
-		r := &runs[i]
-		if err := ctx.Err(); err != nil {
-			errs[i] = ctxErr(ctx)
-			continue
-		}
-		e := &b.engines[i]
-		if err := e.Reset(r.Prog, r.Opts); err != nil {
+		res := new(Result)
+		if err := e.RunIntoCtx(ctx, runs[i].Prog, runs[i].Opts, res); err != nil {
 			errs[i] = err
 			continue
 		}
-		mi := r.Opts.MaxInstructions
-		if mi == 0 {
-			mi = DefaultMaxInstructions
-		}
-		maxI[i] = mi
-		if e.icache != nil || e.dcache != nil || r.Opts.OnIssue != nil || r.Opts.OnTrace != nil {
-			if err := e.runInstrumented(ctx, mi); err != nil {
-				errs[i] = err
-				continue
-			}
-			results[i] = new(Result)
-			e.fillResult(results[i])
-			continue
-		}
-		active = append(active, i)
+		results[i] = res
+		t.mispaths += e.mispaths
+		t.replays += e.replays
 	}
-
-	// Interleave: round-robin one quantum per live cell until all halt.
-	// The ctx poll lives here, not in runFast: a sliced run's quantum
-	// boundary (stopAt) coincides with runFast's internal poll point and
-	// yields before the select, so the interleave loop polls once per cell
-	// turn — the same once-per-cancelCheckInterval cadence a whole run has.
-	for len(active) > 0 {
-		live := active[:0]
-		for _, i := range active {
-			if ctx.Err() != nil {
-				errs[i] = ctxErr(ctx)
-				continue
-			}
-			e := &b.engines[i]
-			if err := e.runFast(ctx, maxI[i], e.instrs+batchQuantum); err != nil {
-				errs[i] = err
-				continue
-			}
-			if e.halted {
-				results[i] = new(Result)
-				e.fillResult(results[i])
-				continue
-			}
-			live = append(live, i)
-		}
-		active = live
-	}
+	return t
 }

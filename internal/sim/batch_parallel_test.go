@@ -5,7 +5,7 @@ package sim
 // to the serial batch (itself bit-identical to individual runs), isolate
 // per-cell errors to their cell, and honor cancellation and instruction
 // limits with the serial semantics. The whole package runs under -race in
-// `make check` (race-concurrency), so these also prove the sub-slabs share
+// `make check` (race-concurrency), so these also prove the shards share
 // no mutable state.
 
 import (
@@ -21,7 +21,7 @@ import (
 
 // TestBatchParallelMatchesSerial pins the sharded scheduler to the serial
 // one: same cells, DeepEqual results, across worker counts that divide the
-// slab evenly and unevenly (more workers than cells included).
+// cells evenly and unevenly (more workers than cells included).
 func TestBatchParallelMatchesSerial(t *testing.T) {
 	runs := batchCells(t)
 	want, wantErrs := NewBatchWorkers(1).Run(context.Background(), runs)
@@ -114,7 +114,7 @@ func TestBatchParallelLimitOneCell(t *testing.T) {
 // long cells split across workers, cancel fired from outside after the
 // batch is underway. Every cell must settle exactly one way — a completed
 // result or a cancellation error — and a rerun of the same batch must
-// complete clean (the slab recovers from an abandoned run).
+// complete clean (the shard engines recover from an abandoned run).
 func TestBatchParallelCancelMidShard(t *testing.T) {
 	runs := []BatchRun{
 		{Prog: tightLoop(80_000_000), Opts: Options{Machine: machine.Base()}},
@@ -144,7 +144,7 @@ func TestBatchParallelCancelMidShard(t *testing.T) {
 	if cancelled == 0 {
 		t.Skip("batch completed before cancellation; nothing to assert")
 	}
-	// The slab must be reusable after an abandoned run.
+	// The shard engines must be reusable after an abandoned run.
 	short := []BatchRun{
 		{Prog: tightLoop(600), Opts: Options{Machine: machine.Base()}},
 		{Prog: tightLoop(600), Opts: Options{Machine: machine.IdealSuperscalar(2)}},

@@ -1,8 +1,8 @@
 package sim
 
 // Tests for the batched multi-cell scheduler: a Batch must produce results
-// bit-identical to running every cell alone — the interleave (runFast's
-// stopAt slicing) is pure scheduling, never timing.
+// bit-identical to running every cell alone — running cells back to back on
+// one reused engine per shard is pure scheduling, never timing.
 
 import (
 	"context"
@@ -22,7 +22,7 @@ func batchCells(t *testing.T) []BatchRun {
 	rng := rand.New(rand.NewSource(7))
 	progs := []*isa.Program{
 		tightLoop(600),
-		tightLoop(200_000), // > batchQuantum dynamic instructions: forces several slices
+		tightLoop(200_000), // long enough to pass several cancellation polls
 		randomCFGProgram(rng),
 		randomCFGProgram(rng),
 	}
@@ -127,6 +127,44 @@ func TestBatchCancelled(t *testing.T) {
 	for i := range runs {
 		if errs[i] == nil || results[i] != nil {
 			t.Errorf("cell %d: want cancellation error, got res=%v err=%v", i, results[i], errs[i])
+		}
+	}
+}
+
+// TestBatchEmpty runs a batch of zero cells: empty results, no shards, no
+// panic, at any worker setting.
+func TestBatchEmpty(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} {
+		b := NewBatchWorkers(workers)
+		results, errs := b.Run(context.Background(), nil)
+		if len(results) != 0 || len(errs) != 0 || b.Shards() != 0 {
+			t.Errorf("workers=%d: got %d results, %d errors, %d shards; want none",
+				workers, len(results), len(errs), b.Shards())
+		}
+	}
+}
+
+// TestBatchEnginesPerShard pins the memory bound: a batch holds one engine
+// (one memory arena) per shard, min(workers, cells), not one per cell — and
+// a later, smaller Run reuses them without growing the set.
+func TestBatchEnginesPerShard(t *testing.T) {
+	runs := batchCells(t)
+	runs = append(runs, runs[:28-len(runs)]...)
+	for _, workers := range []int{1, 2, 4} {
+		b := NewBatchWorkers(workers)
+		_, errs := b.Run(context.Background(), runs)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("workers=%d cell %d: %v", workers, i, err)
+			}
+		}
+		if got, want := len(b.engines), min(workers, len(runs)); got != want {
+			t.Errorf("workers=%d: batch holds %d engines after %d cells, want %d",
+				workers, got, len(runs), want)
+		}
+		b.Run(context.Background(), runs[:1])
+		if got, want := len(b.engines), min(workers, len(runs)); got != want {
+			t.Errorf("workers=%d: one-cell rerun left %d engines, want %d", workers, got, want)
 		}
 	}
 }

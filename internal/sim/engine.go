@@ -13,7 +13,7 @@ import (
 // Engine is a reusable simulator instance. A fresh Engine is ready to use;
 // Reset re-arms it for another program/machine pair while recycling every
 // large allocation from the previous run: the memory image (zeroing only the
-// data segment and the store high-water region actually dirtied), the
+// data segment and the global and stack bands the last run stored to), the
 // predecoded instruction array, the functional-unit scoreboard, the block
 // entry/exit counters, and the output buffer. The package-level Run draws
 // Engines from a sync.Pool, so even callers that never see the type stop
@@ -70,11 +70,15 @@ type Engine struct {
 	// a Reg (uint8) needs no bounds check in the inner loop.
 	regs [256]int64
 	mem  []int64
-	// dataLen and dirtyLo/dirtyHi record which words of mem the current
-	// run has made nonzero: the loaded data segment plus the store range.
-	// The next Reset zeroes only those, not the whole arena.
-	dataLen          int
-	dirtyLo, dirtyHi int
+	// dataLen, dataHi and stackLo record which words of mem the current
+	// run has made nonzero: the loaded data segment, the highest stored
+	// word below split (globals, growing up from 0) and the lowest stored
+	// word at or above it (the stack, growing down from the top). The next
+	// Reset zeroes only those two bands, not the whole arena. The split
+	// decides only which mark a store moves, so any split is correct; it
+	// affects only how much the next Reset clears.
+	dataLen, dataHi int
+	split, stackLo  int
 
 	// Timing state.
 	ready        [256]int64 // minor cycle a register's value becomes available
@@ -140,7 +144,6 @@ func (e *Engine) Reset(p *isa.Program, opts Options) error {
 	e.resetMemory(memWords)
 	copy(e.mem, p.Data)
 	e.dataLen = len(p.Data)
-	e.dirtyLo, e.dirtyHi = memWords, -1
 
 	e.regs = [256]int64{}
 	e.regs[isa.RSP] = stackTop
@@ -222,28 +225,37 @@ func (e *Engine) Reset(p *isa.Program, opts Options) error {
 	e.replays, e.mispaths = 0, 0
 	e.output = e.output[:0]
 	e.stalls = StallBreakdown{}
-	// The program entry opens the first contiguous execution run. Counted
-	// here (not at the top of the timing loop) so a run advanced in several
-	// runFast slices — the batch scheduler's round-robin — counts it once.
+	// The program entry opens the first contiguous execution run.
 	e.enter[p.Entry]++
 	return nil
 }
 
 // resetMemory provides a zeroed memory image of memWords words, zeroing only
-// the region the previous run made nonzero.
+// the two bands the previous run made nonzero — [0, max(dataLen, dataHi+1))
+// and [stackLo, previous len(mem)); every other word of the arena is zero
+// already — and re-arms the dirty marks with the split at mid-arena.
 func (e *Engine) resetMemory(memWords int) {
 	if cap(e.mem) >= memWords {
 		all := e.mem[:cap(e.mem)]
-		if e.dataLen > 0 {
-			clear(all[:e.dataLen])
-		}
-		if e.dirtyHi >= e.dirtyLo {
-			clear(all[e.dirtyLo : e.dirtyHi+1])
-		}
+		clear(all[:max(e.dataLen, e.dataHi+1)])
+		clear(all[e.stackLo:len(e.mem)])
 		e.mem = all[:memWords]
-		return
+	} else {
+		e.mem = make([]int64, memWords)
 	}
-	e.mem = make([]int64, memWords)
+	e.dataHi, e.split, e.stackLo = -1, memWords/2, memWords
+}
+
+// markStore records a store to word a in the dirty marks: two compares,
+// whichever side of the split a falls on.
+func (e *Engine) markStore(a int) {
+	if a < e.split {
+		if a > e.dataHi {
+			e.dataHi = a
+		}
+	} else if a < e.stackLo {
+		e.stackLo = a
+	}
 }
 
 // Run simulates the program to completion on this engine and returns a
@@ -330,11 +342,11 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 // dirty-memory tracking — updated on the engine at every store — must stay
 // accurate there.
 //
-// stopAt makes the loop resumable: once instrs reaches it (checked at the
-// same control-transfer points as the instruction limit), the loop writes
-// all state back and returns with halted still false, and a later call picks
-// up exactly where it left off. Whole runs pass stopAt == maxInstrs; the
-// batch scheduler (Batch) uses finite slices to interleave many engines.
+// stopAt is a clean stop point: once instrs reaches it (checked at the same
+// control-transfer points as the instruction limit), the loop writes all
+// state back and returns with halted still false, without error. Whole runs
+// pass stopAt == maxInstrs; the only finite user is ProfileRun, whose
+// instruction budget ends the pre-run there.
 func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 	width := int64(e.cfg.IssueWidth)
 	takenEnds := e.cfg.TakenBranchEndsGroup
@@ -528,12 +540,7 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			e.setReg(d.dst, mem[memAddr])
 		case isa.OpSw, isa.OpSf:
 			mem[memAddr] = regs[d.src2]
-			if a := int(memAddr); a < e.dirtyLo {
-				e.dirtyLo = a
-			}
-			if a := int(memAddr); a > e.dirtyHi {
-				e.dirtyHi = a
-			}
+			e.markStore(int(memAddr))
 		case isa.OpBeq:
 			if regs[d.src1] == regs[d.src2] {
 				taken, next = true, int(d.target)
@@ -1108,8 +1115,8 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 	}
 
 out:
-	// Halt or yield: write every local back so the result (or the next
-	// runFast slice) sees the exact state.
+	// Halt or stop point: write every local back so the result (or
+	// ProfileRun's fold of the block counters) sees the exact state.
 	e.pc = pc
 	e.cycle, e.barrier = cycle, barrier
 	e.inCycle = int(inCycle)
@@ -1408,12 +1415,7 @@ func (e *Engine) exec(idx int, d *decoded, memAddr int64) (taken bool, err error
 		e.setReg(d.dst, e.mem[memAddr])
 	case isa.OpSw, isa.OpSf:
 		e.mem[memAddr] = regs[d.src2]
-		if a := int(memAddr); a < e.dirtyLo {
-			e.dirtyLo = a
-		}
-		if a := int(memAddr); a > e.dirtyHi {
-			e.dirtyHi = a
-		}
+		e.markStore(int(memAddr))
 	case isa.OpBeq:
 		taken = regs[d.src1] == regs[d.src2]
 	case isa.OpBne:

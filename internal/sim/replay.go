@@ -411,12 +411,7 @@ func (e *Engine) traceExecU(uops []uop) (int, error) {
 				return 0, fmt.Errorf("sim: pc %d (%s): address %d out of range", u.aux, &e.prog.Instrs[u.aux], memAddr)
 			}
 			mem[memAddr] = regs[u.s2]
-			if a := int(memAddr); a < e.dirtyLo {
-				e.dirtyLo = a
-			}
-			if a := int(memAddr); a > e.dirtyHi {
-				e.dirtyHi = a
-			}
+			e.markStore(int(memAddr))
 		case isa.OpFadd:
 			e.setRegF(u.dst, e.regF(u.s1)+e.regF(u.s2))
 		case isa.OpFsub:

@@ -222,3 +222,37 @@ func BenchmarkSimulatorEngineReuse(b *testing.B) {
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
+
+// BenchmarkSimulatorShortRunReuse drives one Engine through many short runs,
+// each storing to a global at the bottom of the arena and pushing a stack
+// frame at the top — the shape of every compiled benchmark. Each Reset must
+// clear only what the previous run stored to; a single dirty interval would
+// span the whole default arena and make every run pay a 16 MB clear.
+func BenchmarkSimulatorShortRunReuse(b *testing.B) {
+	bld := isa.NewBuilder()
+	g := bld.Data(0)
+	bld.Imm(isa.OpAddi, isa.RSP, isa.RSP, -4) // push a frame
+	bld.Li(isa.R(10), 40)
+	bld.Label("loop")
+	bld.Store(isa.OpSw, isa.R(10), isa.RSP, 1)
+	bld.Load(isa.OpLw, isa.R(11), isa.RZero, g)
+	bld.Op(isa.OpAdd, isa.R(11), isa.R(11), isa.R(10))
+	bld.Store(isa.OpSw, isa.R(11), isa.RZero, g)
+	bld.Imm(isa.OpAddi, isa.R(10), isa.R(10), -1)
+	bld.Branch(isa.OpBgt, isa.R(10), isa.RZero, "loop")
+	bld.Print(isa.R(11))
+	bld.Halt()
+	p := bld.MustFinish()
+	cfg := machine.Base()
+	e := NewEngine()
+	var res Result
+	b.ResetTimer()
+	var instrs int64
+	for i := 0; i < b.N; i++ {
+		if err := e.RunInto(p, Options{Machine: cfg}, &res); err != nil {
+			b.Fatal(err)
+		}
+		instrs += res.Instructions
+	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
