@@ -24,13 +24,15 @@ race:
 
 # The concurrency-heavy packages — the runner's singleflight/cancellation
 # fan-out and the simulator's polled timing loops — always re-run under the
-# race detector, bypassing the test cache. The batch tests (sharding, one
-# engine per shard, empty batches), the cond-trace side-exit tests and the
-# arena-reset tests additionally run at -cpu 4 so the shard goroutines are
-# genuinely concurrent even on a single-core host.
+# race detector, bypassing the test cache. The engine-reuse tests (cells
+# back to back on one engine, and across concurrent engines), the
+# cond-trace side-exit tests, the arena-reset tests, and the runner's
+# worker-count and worker-slot tests additionally run at -cpu 4 so the
+# worker goroutines are genuinely concurrent even on a single-core host.
 race-concurrency:
 	$(GO) test -race -count=1 ./internal/experiments/ ./internal/sim/
 	$(GO) test -race -count=1 -cpu 4 -run 'TestBatch|TestCondTrace|TestResetMemory' ./internal/sim/
+	$(GO) test -race -count=1 -cpu 4 -run 'TestSweepWorkers|TestExtSlackHoldsWorkerSlot' ./internal/experiments/
 
 # A quick pass of the randomized differential harness (with the static
 # verifier enabled in-pipeline) as a smoke test, plus a short burst of the

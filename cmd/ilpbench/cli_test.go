@@ -214,7 +214,7 @@ func TestStatsPrintedOnFailedSweep(t *testing.T) {
 	if !strings.Contains(out, "cells: ") {
 		t.Fatalf("failed sweep dropped the -stats cells line from stdout:\n%s", out)
 	}
-	for _, line := range []string{"cache stats:", "run stats:", "predecode stats:", "trace stats:", "parallel stats:"} {
+	for _, line := range []string{"cache stats:", "run stats:", "predecode stats:", "trace stats:"} {
 		if !strings.Contains(errOut, line) {
 			t.Fatalf("failed sweep dropped %q from -stats stderr:\n%s", line, errOut)
 		}
@@ -235,7 +235,7 @@ func TestStatsPrintedOnCancelledSweep(t *testing.T) {
 	if !strings.Contains(out, "cells: ") {
 		t.Fatalf("cancelled sweep dropped the -stats cells line from stdout:\n%s", out)
 	}
-	for _, line := range []string{"cache stats:", "run stats:", "predecode stats:", "trace stats:", "parallel stats:"} {
+	for _, line := range []string{"cache stats:", "run stats:", "predecode stats:", "trace stats:"} {
 		if !strings.Contains(errOut, line) {
 			t.Fatalf("cancelled sweep dropped %q from -stats stderr:\n%s", line, errOut)
 		}

@@ -174,14 +174,12 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 			st := runner.Stats()
 			fmt.Fprintf(stderr, "cache stats: %d compiles (%d hits), %d simulations (%d hits)\n",
 				st.Compiles, st.CompileHits, st.Sims, st.SimHits)
-			fmt.Fprintf(stderr, "run stats: %d live simulations, %d resumed from store, %d retry waits\n",
-				rep.Live, rep.Resumed, rep.Retried)
+			fmt.Fprintf(stderr, "run stats: %d live simulations, %d resumed from store, %d retry waits, %d cells requested by sweep fan-outs\n",
+				rep.Live, rep.Resumed, rep.Retried, rep.BatchedCells)
 			fmt.Fprintf(stderr, "predecode stats: %d artifacts built, %d simulations on shared predecode\n",
 				rep.Predecodes, rep.PredecodeShared)
-			fmt.Fprintf(stderr, "trace stats: %d superblock traces specialized, %d cells simulated in batches\n",
-				rep.Superblocks, rep.BatchedCells)
-			fmt.Fprintf(stderr, "parallel stats: %d batch shards, %d profiled cond traces, %d mispath exits\n",
-				rep.ParallelShards, rep.CondTraces, rep.MispathExits)
+			fmt.Fprintf(stderr, "trace stats: %d superblock traces specialized, %d profiled cond traces, %d mispath exits\n",
+				rep.Superblocks, rep.CondTraces, rep.MispathExits)
 		}
 		if exit == 0 && rep.Degraded > 0 {
 			fmt.Fprintf(stderr, "ilpbench: %d cell(s) permanently failed and were degraded to NaN rows\n", rep.Degraded)

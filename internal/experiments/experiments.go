@@ -236,10 +236,10 @@ func ByID(id string) (Experiment, error) {
 type Runner struct {
 	Cfg Config
 
-	// core is the shared half of the runner: caches, worker pool, stats,
-	// and the batch scheduler. Views built with WithSweep alias the same
-	// core under a different sweep shape (degree, benchmark subset), so a
-	// long-running process — the ilpd daemon — serves every client from
+	// core is the shared half of the runner: caches, worker pool and
+	// stats. Views built with WithSweep alias the same core under a
+	// different sweep shape (degree, benchmark subset), so a long-running
+	// process — the ilpd daemon — serves every client from
 	// one fingerprint-keyed singleflight cache regardless of how each
 	// request slices the sweep.
 	*core
@@ -253,14 +253,8 @@ type core struct {
 	compiles map[string]*compileEntry
 	sims     map[string]*simEntry
 	stats    RunnerStats
-	sem      chan struct{}
-
-	// batchMu serializes use of batch, the reusable multi-cell simulation
-	// scheduler behind measureManyBatched. TryLock keeps the batched path
-	// strictly opportunistic: a sweep arriving while another holds the batch
-	// falls back to the goroutine fan-out instead of queueing.
-	batchMu sync.Mutex
-	batch   *sim.Batch
+	// sem holds one token per worker slot (see acquire).
+	sem chan struct{}
 
 	// compileHook and measureHook, when non-nil, run inside the
 	// corresponding singleflight leader just before the real work (after
@@ -303,9 +297,8 @@ type RunnerStats struct {
 	Degraded        int64 // cells whose permanent failure degraded to a placeholder
 	Superblocks     int64 // superblock traces specialized across built predecodes
 	CondTraces      int64 // profile-specialized traces (past likely-taken branches)
-	BatchedCells    int64 // measurement cells simulated through a shared batch
-	ParallelShards  int64 // worker shards used by batched measurement runs
-	MispathExits    int64 // specialized-trace guard exits across batched cells
+	BatchedCells    int64 // cells requested through a sweep fan-out (measureMany)
+	MispathExits    int64 // specialized-trace guard exits across live cells
 	Instructions    int64 // dynamic instructions simulated by live leader sims
 }
 
@@ -425,9 +418,8 @@ type SweepReport struct {
 	PredecodeShared int64    // live simulations that reused a shared predecode
 	Superblocks     int64    // superblock traces specialized across built predecodes
 	CondTraces      int64    // profile-specialized traces (past likely-taken branches)
-	BatchedCells    int64    // measurement cells simulated through a shared batch
-	ParallelShards  int64    // worker shards used by batched measurement runs
-	MispathExits    int64    // specialized-trace guard exits across batched cells
+	BatchedCells    int64    // cells requested through a sweep fan-out (measureMany)
+	MispathExits    int64    // specialized-trace guard exits across live cells
 }
 
 // Report snapshots the runner's sweep accounting.
@@ -444,7 +436,6 @@ func (r *Runner) Report() SweepReport {
 		Superblocks:     r.stats.Superblocks,
 		CondTraces:      r.stats.CondTraces,
 		BatchedCells:    r.stats.BatchedCells,
-		ParallelShards:  r.stats.ParallelShards,
 		MispathExits:    r.stats.MispathExits,
 	}
 	for _, se := range r.sims {
@@ -611,23 +602,40 @@ func (r *Runner) finish(ctx context.Context, m *machine.Config, res *sim.Result,
 	return &sim.Result{Machine: m.Name, Degraded: true, BaseCycles: math.NaN()}, nil
 }
 
-// measure is the sim-cache miss path: acquire a worker slot (held across
-// all attempts), then run measureAttempt under the transient-failure retry
-// policy. It is the singleflight leader for its sim key.
-func (r *Runner) measure(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey, skey string) (*sim.Result, error) {
+// acquire takes a worker slot and borrows a pooled engine for it. Every
+// compile leader and every simulation runs inside a slot, so Config.Workers
+// bounds the whole pipeline, and a slot's cells (and its compile leader's
+// profile pre-run) run back to back on one engine, recycling one memory
+// arena. Pair with release.
+func (r *Runner) acquire(ctx context.Context) (*sim.Engine, error) {
 	select {
 	case r.sem <- struct{}{}:
+		return sim.Borrow(), nil
 	case <-ctx.Done():
 		return nil, cause(ctx)
 	}
-	defer func() { <-r.sem }()
+}
 
-	var (
-		res *sim.Result
-		err error
-	)
+// release returns the engine to the pool and frees the slot.
+func (r *Runner) release(e *sim.Engine) {
+	e.Release()
+	<-r.sem
+}
+
+// measure is the sim-cache miss path: acquire a worker slot and its engine
+// (held across all attempts), then run measureAttempt under the
+// transient-failure retry policy. It is the singleflight leader for its sim
+// key.
+func (r *Runner) measure(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey, skey string) (*sim.Result, error) {
+	e, err := r.acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer r.release(e)
+
+	var res *sim.Result
 	for attempt := 0; ; attempt++ {
-		res, err = r.measureAttempt(ctx, bench, copts, m, ckey, skey, attempt)
+		res, err = r.measureAttempt(ctx, e, bench, copts, m, ckey, skey, attempt)
 		if err == nil || !ilperr.IsTransient(err) || attempt >= r.Cfg.retries() {
 			break
 		}
@@ -640,14 +648,15 @@ func (r *Runner) measure(ctx context.Context, bench string, copts compiler.Optio
 	return res, err
 }
 
-// measureAttempt is one try at a measurement cell: compile (cached),
-// pass the fault-injection sites, simulate, and persist the result to the
-// store. The store append is part of the attempt on purpose — if the
-// append fails, the attempt fails and the retry recomputes and re-appends,
-// so a cell is committed exactly when its record is durable. The attempt
+// measureAttempt is one try at a measurement cell on the slot's engine e:
+// compile (cached), pass the fault-injection sites, simulate, and persist
+// the result to the store. The store append is part of the attempt on
+// purpose — if the append fails, the attempt fails and the retry recomputes
+// and re-appends, so a cell is committed exactly when its record is
+// durable. The attempt
 // carries the panic isolation for the simulation phase (injected worker
 // panics land here too, classifying permanent via ErrPanic).
-func (r *Runner) measureAttempt(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey, skey string, attempt int) (res *sim.Result, err error) {
+func (r *Runner) measureAttempt(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey, skey string, attempt int) (res *sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, &SimError{
@@ -659,7 +668,7 @@ func (r *Runner) measureAttempt(ctx context.Context, bench string, copts compile
 	if ctx.Err() != nil {
 		return nil, cause(ctx)
 	}
-	prog, code, err := r.compile(ctx, bench, copts, m, ckey)
+	prog, code, err := r.compile(ctx, e, bench, copts, m, ckey)
 	if err != nil {
 		return nil, err
 	}
@@ -678,8 +687,8 @@ func (r *Runner) measureAttempt(ctx context.Context, bench string, copts compile
 			return nil, r.simFailure(ctx, bench, m, err)
 		}
 	}
-	res, err = sim.RunCtx(ctx, prog, sim.Options{Machine: m, Code: code})
-	if err != nil {
+	res = new(sim.Result)
+	if err := e.RunIntoCtx(ctx, prog, sim.Options{Machine: m, Code: code}, res); err != nil {
 		return nil, r.simFailure(ctx, bench, m, err)
 	}
 	r.mu.Lock()
@@ -687,6 +696,7 @@ func (r *Runner) measureAttempt(ctx context.Context, bench string, copts compile
 		r.stats.PredecodeShared++
 	}
 	r.stats.Instructions += res.Instructions
+	r.stats.MispathExits += e.Mispaths()
 	r.mu.Unlock()
 	if perr := r.persist(ctx, bench, m, skey, attempt, res); perr != nil {
 		return nil, perr
@@ -784,9 +794,10 @@ func (r *Runner) simFailure(ctx context.Context, bench string, m *machine.Config
 }
 
 // compile returns the compiled program for the key, compiling at most once.
-// The leader already holds a worker slot, so waiters (who hold their own
-// slots) can never starve it.
-func (r *Runner) compile(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string) (*isa.Program, *sim.Code, error) {
+// The caller holds a worker slot (see acquire) and e is that slot's engine,
+// which a leader uses for its profile pre-run; since every leader holds a
+// slot, waiters (who hold their own slots) can never starve it.
+func (r *Runner) compile(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey string) (*isa.Program, *sim.Code, error) {
 	r.mu.Lock()
 	if ce, ok := r.compiles[ckey]; ok {
 		r.stats.CompileHits++
@@ -803,7 +814,7 @@ func (r *Runner) compile(ctx context.Context, bench string, copts compiler.Optio
 	r.stats.Compiles++
 	r.mu.Unlock()
 
-	ce.prog, ce.code, ce.err = r.doCompile(ctx, bench, copts, m, ckey)
+	ce.prog, ce.code, ce.err = r.doCompile(ctx, e, bench, copts, m, ckey)
 	if ce.err != nil && ilperr.IsTransient(ce.err) {
 		// Retries exhausted: publish permanent, so a sim-level retry that
 		// hits this cached verdict does not spin on it.
@@ -824,14 +835,14 @@ func (r *Runner) compile(ctx context.Context, bench string, copts compiler.Optio
 
 // doCompile is the compile-cache miss path: it runs compileAttempt under
 // the same transient-failure retry policy as measure.
-func (r *Runner) doCompile(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string) (*isa.Program, *sim.Code, error) {
+func (r *Runner) doCompile(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey string) (*isa.Program, *sim.Code, error) {
 	var (
 		prog *isa.Program
 		code *sim.Code
 		err  error
 	)
 	for attempt := 0; ; attempt++ {
-		prog, code, err = r.compileAttempt(ctx, bench, copts, m, ckey, attempt)
+		prog, code, err = r.compileAttempt(ctx, e, bench, copts, m, ckey, attempt)
 		if err == nil || !ilperr.IsTransient(err) || attempt >= r.Cfg.retries() {
 			break
 		}
@@ -847,7 +858,7 @@ func (r *Runner) doCompile(ctx context.Context, bench string, copts compiler.Opt
 // compileAttempt is one try at a compilation, carrying the panic isolation
 // and error wrapping for the compile phase (and the SiteCompile fault
 // hook).
-func (r *Runner) compileAttempt(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string, attempt int) (prog *isa.Program, code *sim.Code, err error) {
+func (r *Runner) compileAttempt(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey string, attempt int) (prog *isa.Program, code *sim.Code, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			prog, code, err = nil, nil, &CompileError{
@@ -891,7 +902,7 @@ func (r *Runner) compileAttempt(ctx context.Context, bench string, copts compile
 	// the plain predecode; either way timing is bit-identical by
 	// construction, so the cache key needs no profile component.
 	cond := 0
-	if prof, perr := sim.ProfileRun(ctx, code, 0, 0); perr == nil {
+	if prof, perr := e.Profile(ctx, code, 0, 0); perr == nil {
 		if spec := code.Specialize(prof); spec.CondTraces() > 0 {
 			code, cond = spec, spec.CondTraces()
 		}
@@ -929,12 +940,13 @@ type job struct {
 // sibling (first error wins — it becomes the context's cause), a panicking
 // worker is converted to a structured error instead of crashing the
 // process, and every *distinct* root cause that raced in before the
-// cancellation landed is reported via errors.Join.
+// cancellation landed is reported via errors.Join. It is the one sweep
+// path for every Config — store, faults and hooks included: each job is a
+// MeasureCtx call, whose cache misses run on their worker slot's engine.
 func (r *Runner) measureMany(pctx context.Context, jobs []job) ([]*sim.Result, error) {
-	if r.batchable() && r.batchMu.TryLock() {
-		defer r.batchMu.Unlock()
-		return r.measureManyBatched(pctx, jobs)
-	}
+	r.mu.Lock()
+	r.stats.BatchedCells += int64(len(jobs))
+	r.mu.Unlock()
 	ctx, cancel := context.WithCancelCause(pctx)
 	defer cancel(context.Canceled)
 
@@ -970,166 +982,6 @@ func (r *Runner) measureMany(pctx context.Context, jobs []job) ([]*sim.Result, e
 	// cause, not a table it no longer has the budget to claim.
 	if pctx.Err() != nil {
 		return nil, cause(pctx)
-	}
-	return results, nil
-}
-
-// batchable reports whether the runner's configuration allows the batched
-// measurement path: nothing may hook, persist, or perturb individual
-// attempts, because a batched cell runs exactly one attempt inside the
-// shared scheduler. With no injector and no store, Config.Retries is dead
-// configuration — ilperr.IsTransient can only be true for injected faults
-// and store I/O, so the per-attempt retry loop provably never fires and a
-// single attempt is equivalent. Degrade is compatible too (a result policy
-// applied after the fact); everything else falls back to the per-cell
-// goroutine path.
-func (r *Runner) batchable() bool {
-	return r.Cfg.Faults == nil && r.Cfg.Store == nil && r.measureHook == nil
-}
-
-// publish installs a leader's outcome on its sim-cache entry with the same
-// tail policy as MeasureCtx: exhausted-transient failures become permanent,
-// cancellation-induced failures evict the entry instead of poisoning it, and
-// genuine failures under Degrade are counted once, at the leader.
-func (r *Runner) publish(ctx context.Context, skey string, se *simEntry, res *sim.Result, err error) {
-	if err != nil && ilperr.IsTransient(err) {
-		err = ilperr.MarkPermanent(err)
-	}
-	se.res, se.err = res, err
-	if err != nil && ctx.Err() != nil {
-		r.mu.Lock()
-		if r.sims[skey] == se {
-			delete(r.sims, skey)
-		}
-		r.mu.Unlock()
-	} else if err != nil && r.Cfg.Degrade && !isCancellation(ctx, err) {
-		r.mu.Lock()
-		r.stats.Degraded++
-		r.mu.Unlock()
-	}
-	close(se.ready)
-}
-
-// measureManyBatched is measureMany's single-goroutine fast path: instead of
-// fanning every cell out to its own worker, the sweep claims its sim-cache
-// entries up front and runs all cache-miss cells together through one
-// sim.Batch — shard goroutines that each run their cells back to back on one
-// reused engine, so N cells cost one memory arena per shard. The cache
-// protocol is unchanged: claimed entries are singleflight leaders published
-// exactly as MeasureCtx would publish them, so concurrent MeasureCtx callers
-// (and later sweeps) join them without observing any difference, and timing
-// is bit-identical because every cell is a whole run on an engine Reset for
-// it.
-func (r *Runner) measureManyBatched(ctx context.Context, jobs []job) ([]*sim.Result, error) {
-	results := make([]*sim.Result, len(jobs))
-	errs := make([]error, len(jobs))
-
-	type cell struct {
-		idx            int
-		ckey, skey, fp string
-		se             *simEntry
-	}
-	var owned, joined []cell
-	r.mu.Lock()
-	for i, j := range jobs {
-		fp := j.m.Fingerprint()
-		ckey := compileKey(j.bench, j.copts, j.m)
-		skey := ckey + "|" + fp
-		if se, ok := r.sims[skey]; ok {
-			r.stats.SimHits++
-			joined = append(joined, cell{i, ckey, skey, fp, se})
-			continue
-		}
-		se := &simEntry{ready: make(chan struct{})}
-		r.sims[skey] = se
-		r.stats.Sims++
-		owned = append(owned, cell{i, ckey, skey, fp, se})
-	}
-	r.mu.Unlock()
-
-	// One worker slot covers the whole batch — the scheduler is a single
-	// goroutine by design. If cancellation wins the slot race, the claimed
-	// entries must still be published (and evicted) so no waiter hangs.
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		err := cause(ctx)
-		for _, c := range owned {
-			r.publish(ctx, c.skey, c.se, nil, err)
-		}
-		return nil, err
-	}
-	defer func() { <-r.sem }()
-
-	// Compile (cached, singleflight) and collect the runnable cells.
-	var runs []sim.BatchRun
-	var ran []cell
-	for _, c := range owned {
-		j := jobs[c.idx]
-		prog, code, err := r.compile(ctx, j.bench, j.copts, j.m, c.ckey)
-		if err != nil {
-			r.publish(ctx, c.skey, c.se, nil, err)
-			results[c.idx], errs[c.idx] = r.finish(ctx, j.m, nil, err)
-			notify(ctx, j.bench, j.m, c.fp, results[c.idx], errs[c.idx], false)
-			continue
-		}
-		runs = append(runs, sim.BatchRun{Prog: prog, Opts: sim.Options{Machine: j.m, Code: code}})
-		ran = append(ran, c)
-	}
-
-	if len(runs) > 0 {
-		if r.batch == nil {
-			// The batch shards its cells across the runner's configured
-			// worker count (GOMAXPROCS by default): the whole sweep holds one
-			// pool slot — the batched path is opportunistic and singular
-			// (batchMu) — but saturates the cores the pool was sized for.
-			r.batch = sim.NewBatchWorkers(r.Cfg.workers())
-		}
-		bres, berrs := r.batch.Run(ctx, runs)
-		var shared, instrs int64
-		for k, c := range ran {
-			j := jobs[c.idx]
-			res, err := bres[k], berrs[k]
-			if err != nil {
-				err = r.simFailure(ctx, j.bench, j.m, err)
-			} else {
-				shared++ // every batched cell runs on its shared predecode
-				instrs += res.Instructions
-			}
-			r.publish(ctx, c.skey, c.se, res, err)
-			results[c.idx], errs[c.idx] = r.finish(ctx, j.m, res, err)
-			notify(ctx, j.bench, j.m, c.fp, results[c.idx], errs[c.idx], false)
-		}
-		r.mu.Lock()
-		r.stats.PredecodeShared += shared
-		r.stats.BatchedCells += int64(len(runs))
-		r.stats.ParallelShards += int64(r.batch.Shards())
-		r.stats.MispathExits += r.batch.Mispaths()
-		r.stats.Instructions += instrs
-		r.mu.Unlock()
-	}
-
-	// Cells led elsewhere (or duplicated within this sweep) join their
-	// entries exactly as MeasureCtx waiters do.
-	for _, c := range joined {
-		j := jobs[c.idx]
-		select {
-		case <-c.se.ready:
-			results[c.idx], errs[c.idx] = r.finish(ctx, j.m, c.se.res, c.se.err)
-			notify(ctx, j.bench, j.m, c.fp, results[c.idx], errs[c.idx], true)
-		case <-ctx.Done():
-			results[c.idx], errs[c.idx] = nil, cause(ctx)
-		}
-	}
-	if err := joinDistinct(context.Cause(ctx), errs); err != nil {
-		return nil, err
-	}
-	// Same tail rule as the fan-out path: a cancellation that landed while
-	// (or after) the batch ran — in particular an instruction-budget trip
-	// fired by the publish loop's own notify — fails the sweep even though
-	// every cell published cleanly.
-	if ctx.Err() != nil {
-		return nil, cause(ctx)
 	}
 	return results, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ilp/internal/compiler"
 	"ilp/internal/machine"
 	"ilp/internal/metrics"
 	"ilp/internal/sim"
@@ -54,30 +55,10 @@ func runExtSlack(ctx context.Context, r *Runner) (*Result, error) {
 	for _, b := range suite {
 		row := []string{benchLabel(b)}
 		for mi, m := range cfgs {
-			copts := defaultOpts(b)
-			ckey := compileKey(b.Name, copts, m)
-			prog, code, err := r.compile(ctx, b.Name, copts, m, ckey)
+			s, err := r.slackCell(ctx, b.Name, defaultOpts(b), m)
 			if err != nil {
 				return nil, err
 			}
-			// Simulated directly (not through the measurement cache):
-			// the slack ratio needs the per-instruction counts, which
-			// ordinary measurements do not carry.
-			res, err := sim.RunCtx(ctx, prog, sim.Options{
-				Machine: m, Code: code, CountInstrs: true,
-			})
-			if err != nil {
-				return nil, r.simFailure(ctx, b.Name, m, err)
-			}
-			a, err := statictime.Analyze(prog, m)
-			if err != nil {
-				return nil, fmt.Errorf("ext-slack: %s on %s: %w", b.Name, m.Name, err)
-			}
-			if ds := verify.CheckTiming(a, res.MinorCycles, res.InstrCounts, res.TakenExits, "ext-slack"); len(ds) > 0 {
-				return nil, fmt.Errorf("ext-slack: %s on %s: static timing oracle: %s", b.Name, m.Name, ds[0])
-			}
-			lo := a.LowerBound(res.InstrCounts, res.TakenExits)
-			s := float64(res.MinorCycles) / float64(lo)
 			slack[mi] = append(slack[mi], s)
 			row = append(row, fmtF(s))
 		}
@@ -101,4 +82,33 @@ func runExtSlack(ctx context.Context, r *Runner) (*Result, error) {
 	b.WriteString("Every cell passed the verify timing oracle (lower <= simulated <= upper);\n" +
 		"slack above 1 is the cross-block timing the per-block static analysis cannot see.\n")
 	return &Result{ID: "ext-slack", Title: "Static timing bounds", Text: b.String(), Series: series}, nil
+}
+
+// slackCell compiles (cached) and simulates one ext-slack cell inside a
+// worker slot, on the slot's engine, checks it against the verify timing
+// oracle and returns its slack. It is simulated directly, not through the
+// measurement cache: the slack ratio needs the per-instruction counts,
+// which ordinary measurements do not carry.
+func (r *Runner) slackCell(ctx context.Context, bench string, copts compiler.Options, m *machine.Config) (float64, error) {
+	e, err := r.acquire(ctx)
+	if err != nil {
+		return 0, err
+	}
+	defer r.release(e)
+	prog, code, err := r.compile(ctx, e, bench, copts, m, compileKey(bench, copts, m))
+	if err != nil {
+		return 0, err
+	}
+	res := new(sim.Result)
+	if err := e.RunIntoCtx(ctx, prog, sim.Options{Machine: m, Code: code, CountInstrs: true}, res); err != nil {
+		return 0, r.simFailure(ctx, bench, m, err)
+	}
+	a, err := statictime.Analyze(prog, m)
+	if err != nil {
+		return 0, fmt.Errorf("ext-slack: %s on %s: %w", bench, m.Name, err)
+	}
+	if ds := verify.CheckTiming(a, res.MinorCycles, res.InstrCounts, res.TakenExits, "ext-slack"); len(ds) > 0 {
+		return 0, fmt.Errorf("ext-slack: %s on %s: static timing oracle: %s", bench, m.Name, ds[0])
+	}
+	return float64(res.MinorCycles) / float64(a.LowerBound(res.InstrCounts, res.TakenExits)), nil
 }

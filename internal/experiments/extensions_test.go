@@ -105,3 +105,17 @@ func TestExtLimitsShape(t *testing.T) {
 		}
 	}
 }
+
+// TestExtLimitsReusesCompile: the trace limits analyze the binary the
+// base-machine cell compiled, taken from the compile cache — one counted
+// hit per benchmark, no extra compile.
+func TestExtLimitsReusesCompile(t *testing.T) {
+	r := NewRunner(Config{MaxDegree: 2, Benchmarks: []string{"whet", "linpack"}})
+	if _, err := r.Run("ext-limits"); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Compiles != 4 || st.CompileHits != 2 {
+		t.Errorf("compiles = %d (%d hits), want 4 (2 hits): two machines and one cached reuse per benchmark",
+			st.Compiles, st.CompileHits)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"ilp/internal/benchmarks"
-	"ilp/internal/compiler"
 	"ilp/internal/ilperr"
 	"ilp/internal/machine"
 	"ilp/internal/metrics"
@@ -72,27 +71,28 @@ func runExtLimits(ctx context.Context, r *Runner) (*Result, error) {
 				fail(err)
 				return
 			}
-			// Trace limits on the same binary. Compile and Analyze cannot
-			// be interrupted mid-flight, so check for cancellation between
-			// the two heavyweight steps.
+			// Trace limits on the same binary, taken from the compile cache
+			// the base-machine cell just filled. Analyze cannot be
+			// interrupted mid-flight, so check for cancellation first.
+			m, copts := machine.Base(), defaultOpts(b)
+			e, err := r.acquire(mctx)
+			if err != nil {
+				fail(err)
+				return
+			}
+			prog, _, err := r.compile(mctx, e, b.Name, copts, m, compileKey(b.Name, copts, m))
+			r.release(e)
+			if err != nil {
+				fail(err)
+				return
+			}
 			if mctx.Err() != nil {
 				fail(cause(mctx))
 				return
 			}
-			copts := defaultOpts(b)
-			copts.Machine = machine.Base()
-			c, err := compiler.Compile(b.Source, copts)
+			lim, err := trace.Analyze(prog, trace.Options{MaxTrace: 1_500_000})
 			if err != nil {
-				fail(r.compileFailure(mctx, b.Name, copts.Machine, err))
-				return
-			}
-			if mctx.Err() != nil {
-				fail(cause(mctx))
-				return
-			}
-			lim, err := trace.Analyze(c.Prog, trace.Options{MaxTrace: 1_500_000})
-			if err != nil {
-				fail(r.simFailure(mctx, b.Name, copts.Machine, err))
+				fail(r.simFailure(mctx, b.Name, m, err))
 				return
 			}
 			rows[i] = row{

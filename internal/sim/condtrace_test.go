@@ -31,7 +31,7 @@ func checkSpecialized(t *testing.T, p *isa.Program, prof *statictime.Profile, mi
 		}
 		pr := prof
 		if pr == nil {
-			if pr, err = ProfileRun(context.Background(), code, 0, 0); err != nil {
+			if pr, err = NewEngine().Profile(context.Background(), code, 0, 0); err != nil {
 				t.Fatalf("%s: profile run: %v", cfg.Name, err)
 			}
 		}
@@ -48,8 +48,8 @@ func checkSpecialized(t *testing.T, p *isa.Program, prof *statictime.Profile, mi
 		if err := e.RunInto(p, Options{Machine: cfg, Code: spec}, &got); err != nil {
 			t.Fatalf("%s: specialized run: %v", cfg.Name, err)
 		}
-		if e.mispaths < minMispath {
-			t.Errorf("%s: %d mispath exits, want >= %d", cfg.Name, e.mispaths, minMispath)
+		if e.Mispaths() < minMispath {
+			t.Errorf("%s: %d mispath exits, want >= %d", cfg.Name, e.Mispaths(), minMispath)
 		}
 		if got.MinorCycles != want.MinorCycles || got.IssueGroups != want.IssueGroups ||
 			got.Instructions != want.Instructions || got.Stalls != want.Stalls {
@@ -89,7 +89,7 @@ func condTraceLoop(n int64) *isa.Program {
 	return b.MustFinish()
 }
 
-// TestCondTraceSpecializedLoop pins the whole pipeline: ProfileRun observes
+// TestCondTraceSpecializedLoop pins the whole pipeline: Profile observes
 // the hot-arm branch taken on nearly every iteration, Specialize stitches
 // the trace through its taken edge, the replay spins on the hot path, and
 // the cold iterations at the end fire the guard — all bit-identical to the

@@ -112,6 +112,9 @@ type Engine struct {
 // NewEngine returns an empty engine. Buffers are grown on first Reset.
 func NewEngine() *Engine { return &Engine{} }
 
+// Mispaths returns the specialized-trace guard exits the last run took.
+func (e *Engine) Mispaths() int64 { return e.mispaths }
+
 // Reset validates the program and machine, predecodes the program (or adopts
 // the shared predecode in opts.Code), and re-arms all run state, reusing the
 // engine's buffers.
@@ -345,7 +348,7 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 // stopAt is a clean stop point: once instrs reaches it (checked at the same
 // control-transfer points as the instruction limit), the loop writes all
 // state back and returns with halted still false, without error. Whole runs
-// pass stopAt == maxInstrs; the only finite user is ProfileRun, whose
+// pass stopAt == maxInstrs; the only finite user is Profile, whose
 // instruction budget ends the pre-run there.
 func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 	width := int64(e.cfg.IssueWidth)
@@ -1116,7 +1119,7 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 
 out:
 	// Halt or stop point: write every local back so the result (or
-	// ProfileRun's fold of the block counters) sees the exact state.
+	// Profile's fold of the block counters) sees the exact state.
 	e.pc = pc
 	e.cycle, e.barrier = cycle, barrier
 	e.inCycle = int(inCycle)

@@ -14,7 +14,7 @@ import (
 // on.
 const DefaultProfileBudget = 1 << 18
 
-// ProfileRun executes an instruction-budgeted pre-run of code on the fast
+// Profile executes an instruction-budgeted pre-run of code on e's fast
 // path and folds the engine's block entry/exit counters into an execution
 // profile for trace specialization (Code.Specialize). The run is abandoned
 // cleanly at the budget — a program still mid-flight yields a truncated but
@@ -22,20 +22,15 @@ const DefaultProfileBudget = 1 << 18
 // noise at the evidence threshold. The counts are architectural, so the
 // profile is valid for every machine sharing the program, whatever their
 // timing. memWords sizes the run's memory (0 means DefaultMemWords);
-// budget ≤ 0 means DefaultProfileBudget.
-func ProfileRun(ctx context.Context, code *Code, memWords int, budget int64) (*statictime.Profile, error) {
+// budget ≤ 0 means DefaultProfileBudget. The pre-run is an ordinary engine
+// run, so the next Reset clears it like any other.
+func (e *Engine) Profile(ctx context.Context, code *Code, memWords int, budget int64) (*statictime.Profile, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if budget <= 0 {
 		budget = DefaultProfileBudget
 	}
-	e := enginePool.Get().(*Engine)
-	defer func() {
-		e.cfg, e.prog, e.dec, e.scheds = nil, nil, nil, nil
-		e.opts = Options{}
-		enginePool.Put(e)
-	}()
 	opts := Options{Machine: code.cfg, MemWords: memWords, Code: code}
 	if err := e.Reset(code.prog, opts); err != nil {
 		return nil, err

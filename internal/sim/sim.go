@@ -91,8 +91,26 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// enginePool recycles engines (and their memory arenas) across Run calls.
+// enginePool recycles engines (and their memory arenas) across runs.
 var enginePool = sync.Pool{New: func() any { return NewEngine() }}
+
+// Borrow takes an engine from the process-wide pool, so a caller that runs
+// many cells back to back (a sweep worker slot) recycles one memory arena
+// instead of allocating and zeroing one per simulation. Return it with
+// Release. Safe for concurrent use.
+func Borrow() *Engine { return enginePool.Get().(*Engine) }
+
+// Release returns a borrowed engine to the pool; e must not be used
+// afterwards. References to caller data are dropped first so a pooled
+// engine does not pin a shared predecode alive. The engine's own
+// translation cache (decBuf/ownProg/ownScheds) is deliberately kept: it
+// pins the last Code-less (program, machine) pair so repeat runs skip
+// predecode and trace analysis — the dominant pooled-engine pattern.
+func (e *Engine) Release() {
+	e.cfg, e.prog, e.dec, e.scheds = nil, nil, nil, nil
+	e.opts = Options{}
+	enginePool.Put(e)
+}
 
 // Run simulates the program to completion and returns the result. It is the
 // thin compatibility wrapper over Engine: each call borrows a pooled engine,
@@ -106,18 +124,10 @@ func Run(p *isa.Program, opts Options) (*Result, error) {
 // cancelCheckInterval dynamic instructions and abandons the run with the
 // context's cause error once ctx is done. Safe for concurrent use.
 func RunCtx(ctx context.Context, p *isa.Program, opts Options) (*Result, error) {
-	e := enginePool.Get().(*Engine)
+	e := Borrow()
+	defer e.Release()
 	res := new(Result)
-	err := e.RunIntoCtx(ctx, p, opts, res)
-	// Drop references to caller data before pooling so a cached engine
-	// does not pin a shared predecode alive. The engine's own translation
-	// cache (decBuf/ownProg/ownScheds) is deliberately kept: it pins the
-	// last Code-less (program, machine) pair so repeat runs skip predecode
-	// and trace analysis — the dominant pooled-engine pattern.
-	e.cfg, e.prog, e.dec, e.scheds = nil, nil, nil, nil
-	e.opts = Options{}
-	enginePool.Put(e)
-	if err != nil {
+	if err := e.RunIntoCtx(ctx, p, opts, res); err != nil {
 		return nil, err
 	}
 	return res, nil

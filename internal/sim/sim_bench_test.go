@@ -184,7 +184,7 @@ func BenchmarkSimulatorCondTrace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prof, err := ProfileRun(context.Background(), code, 0, 0)
+	prof, err := NewEngine().Profile(context.Background(), code, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -164,7 +164,7 @@ type Trace struct {
 
 // Profile is an execution profile of a program: per-pc dynamic execution
 // and taken-transfer counts, typically folded from a short instruction-
-// budgeted pre-run's block counters (sim.ProfileRun). The counts are
+// budgeted pre-run's block counters (sim.Engine.Profile). The counts are
 // architectural, so one profile is valid for every machine description —
 // the execution path does not depend on timing.
 type Profile struct {
