@@ -35,11 +35,14 @@ race-concurrency:
 	$(GO) test -race -count=1 -cpu 4 -run 'TestSweepWorkers|TestExtSlackHoldsWorkerSlot' ./internal/experiments/
 
 # A quick pass of the randomized differential harness (with the static
-# verifier enabled in-pipeline) as a smoke test, plus a short burst of the
-# result-store loader fuzzer; the full 60-seed run is part of `make test`.
+# verifier enabled in-pipeline) as a smoke test, plus short bursts of the
+# result-store loader fuzzer and of the simulator's random-CFG differential
+# fuzzer (generated programs against the seed engine on every fuzz
+# machine); the full 60-seed run is part of `make test`.
 fuzz-smoke:
 	$(GO) test -short -run 'TestRandomPrograms' ./internal/compiler/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz 'FuzzDifferentialRandomCFG' -fuzztime 10s ./internal/sim/
 
 # Chaos suite: the deterministic fault-injection harness under the race
 # detector, at full schedule counts — 300 randomized runner schedules

@@ -42,7 +42,8 @@ func TestRunCtxDeadlineStopsInstrumentedPath(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	// An OnIssue hook selects the instrumented loop.
+	// An OnIssue hook turns trace replay off: the loop interprets every
+	// instruction and polls at its control transfers.
 	_, err := RunCtx(ctx, p, Options{
 		Machine: cfg,
 		OnIssue: func(int, *isa.Instr, int64, int64) {},

@@ -1,15 +1,18 @@
 package sim
 
 // Differential equivalence suite: every golden benchmark, compiled per
-// machine configuration, is simulated three ways — with the preserved seed
-// engine (reference_test.go), the predecoded fast path, and the instrumented
-// path (forced by installing a no-op OnIssue hook) — and all observable
-// results must be bit-identical. This is the proof that the performance
-// rewrite changed no semantics and no timing.
+// machine configuration, is simulated with the preserved seed engine
+// (reference_test.go) and with this engine — plainly (replaying traces
+// where the machine qualifies) and with a no-op OnIssue hook installed
+// (which turns replay off, so every instruction is interpreted) — and all
+// observable results must be bit-identical. This is the proof that the
+// performance rewrite changed no semantics and no timing.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -24,7 +27,7 @@ import (
 // diffMachines is the machine matrix: scalar base, ideal superscalar at
 // three widths (unit multiplicity and width bookkeeping), a superpipeline
 // (latency scaling and branch barriers), and MultiTitan with both caches
-// (the fully instrumented path with fetch and data-miss modeling).
+// (fetch and data-miss modeling, with trace replay off).
 func diffMachines() []*machine.Config {
 	titan := machine.MultiTitan()
 	titan.Name = "titan-cached"
@@ -67,7 +70,7 @@ func compareResults(t *testing.T, path string, want, got *Result) {
 		t.Errorf("%s: %d output values, want %d", path, len(got.Output), len(want.Output))
 	} else {
 		for i := range want.Output {
-			if got.Output[i] != want.Output[i] {
+			if !sameValue(got.Output[i], want.Output[i]) {
 				t.Errorf("%s: Output[%d] = %v, want %v", path, i, got.Output[i], want.Output[i])
 				break
 			}
@@ -87,9 +90,35 @@ func compareResults(t *testing.T, path string, want, got *Result) {
 	}
 }
 
-// compareCounts pins the per-instruction counters: the fast path's fold of
-// the block enter/exit counters and the instrumented path's direct bumps
-// must agree index by index.
+// sameValue is bit-exact output equality: unlike ==, it tells -0 from +0
+// apart and holds a NaN equal only to a NaN with the same bits.
+func sameValue(a, b isa.Value) bool {
+	return a.IsFloat == b.IsFloat && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
+// sameResult is reflect.DeepEqual with the outputs compared by sameValue,
+// so a result that printed a NaN equals a bit-identical one.
+func sameResult(a, b *Result) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if len(a.Output) != len(b.Output) {
+		return false
+	}
+	for i := range a.Output {
+		if !sameValue(a.Output[i], b.Output[i]) {
+			return false
+		}
+	}
+	ac, bc := *a, *b
+	ac.Output, bc.Output = nil, nil
+	return reflect.DeepEqual(&ac, &bc)
+}
+
+// compareCounts pins the per-instruction counters folded from the block
+// enter/exit counters: a run that replays traces (which book whole traces'
+// counters at once) and one that interprets every instruction must agree
+// index by index.
 func compareCounts(t *testing.T, path string, want, got *Result) {
 	t.Helper()
 	if len(got.InstrCounts) != len(want.InstrCounts) {
@@ -126,20 +155,29 @@ func checkStaticBounds(t *testing.T, p *isa.Program, cfg *machine.Config, r *Res
 }
 
 // randomCFGProgram generates a deterministic random control-flow graph: a
-// handful of basic blocks full of random integer ALU work, address-masked
-// loads and stores into a small data segment, calls into a straight-line
+// handful of basic blocks full of random work, calls into a straight-line
 // subroutine (jr return — mid-block entry for the block counters), and
-// data-dependent conditional branches between arbitrary blocks. Termination
-// is guaranteed by a fuel counter burned at every block entry; when it runs
-// out the block bails to the exit, which prints every data register (so the
+// data-dependent conditional branches between arbitrary blocks. The work
+// covers every opcode of the engine's semantic switches: integer ALU ops
+// (register and immediate shifts included), division and remainder behind
+// a divisor forced odd (ori d, r, 1), address-masked integer and float
+// loads and stores into a small data segment, the float file (fli, fmov,
+// arithmetic, the special functions, compares into integer registers),
+// int↔float conversion (cvtfi only of a cvtif result, so it never traps),
+// printi/printf mid-block, and nop. Termination is guaranteed by a fuel
+// counter burned at every block entry; when it runs out the block bails to
+// the exit, which prints every data register of both files (so the
 // differential comparison covers architectural state, not just timing).
 func randomCFGProgram(rng *rand.Rand) *isa.Program {
 	const (
 		loData, hiData = 10, 20 // data registers the random ops touch
 		rFuel          = 21
 		rAddr          = 22
+		rDiv           = 23
+		loF, hiF       = 10, 15 // float data registers
 	)
 	reg := func() isa.Reg { return isa.R(loData + rng.Intn(hiData-loData+1)) }
+	freg := func() isa.Reg { return isa.F(loF + rng.Intn(hiF-loF+1)) }
 
 	b := isa.NewBuilder()
 	words := make([]int64, 64)
@@ -152,6 +190,9 @@ func randomCFGProgram(rng *rand.Rand) *isa.Program {
 	for r := loData; r <= hiData; r++ {
 		b.Li(isa.R(r), rng.Int63n(1<<20)-(1<<19))
 	}
+	for r := loF; r <= hiF; r++ {
+		b.Fli(isa.F(r), rng.NormFloat64()*100)
+	}
 	b.Jump("b0")
 
 	// A tiny leaf subroutine: blocks call it through jal, and the jr return
@@ -162,13 +203,70 @@ func randomCFGProgram(rng *rand.Rand) *isa.Program {
 	b.Imm(isa.OpAddi, reg(), reg(), rng.Int63n(64))
 	b.Ret()
 
-	threeReg := []isa.Opcode{
+	// One emitter per opcode (cvtfi rides on a cvtif, so it never traps),
+	// drawn from a shuffled deck so every opcode turns up in every few
+	// blocks instead of at its share of a weighted pick.
+	mask := func() isa.Reg {
+		b.Imm(isa.OpAndi, isa.R(rAddr), reg(), 63)
+		return isa.R(rAddr)
+	}
+	var gens []func()
+	for _, o := range []isa.Opcode{
 		isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpXor,
 		isa.OpSlt, isa.OpSle, isa.OpSeq, isa.OpSne, isa.OpMul,
+		isa.OpSll, isa.OpSrl, isa.OpSra,
+	} {
+		gens = append(gens, func() { b.Op(o, reg(), reg(), reg()) })
 	}
-	immOps := []isa.Opcode{
-		isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori,
-		isa.OpSlli, isa.OpSrli, isa.OpSrai,
+	for _, o := range []isa.Opcode{isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori} {
+		gens = append(gens, func() { b.Imm(o, reg(), reg(), rng.Int63n(1<<16)) })
+	}
+	for _, o := range []isa.Opcode{isa.OpSlli, isa.OpSrli, isa.OpSrai} {
+		gens = append(gens, func() { b.Imm(o, reg(), reg(), rng.Int63n(64)) })
+	}
+	for _, o := range []isa.Opcode{isa.OpDiv, isa.OpRem} {
+		gens = append(gens, func() {
+			b.Imm(isa.OpOri, isa.R(rDiv), reg(), 1)
+			b.Op(o, reg(), reg(), isa.R(rDiv))
+		})
+	}
+	for _, o := range []isa.Opcode{isa.OpFadd, isa.OpFsub, isa.OpFmul, isa.OpFdiv} {
+		gens = append(gens, func() { b.Op(o, freg(), freg(), freg()) })
+	}
+	for _, o := range []isa.Opcode{
+		isa.OpFmov, isa.OpFneg, isa.OpFabs, isa.OpFsqrt,
+		isa.OpFsin, isa.OpFcos, isa.OpFatn, isa.OpFexp, isa.OpFlog,
+	} {
+		gens = append(gens, func() { b.Op1(o, freg(), freg()) })
+	}
+	for _, o := range []isa.Opcode{isa.OpFslt, isa.OpFsle, isa.OpFseq, isa.OpFsne} {
+		gens = append(gens, func() { b.Op(o, reg(), freg(), freg()) })
+	}
+	gens = append(gens,
+		func() { b.Li(reg(), rng.Int63n(1<<30)) },
+		func() { b.Op1(isa.OpMov, reg(), reg()) },
+		func() { b.Fli(freg(), rng.NormFloat64()*1e3) },
+		func() { b.Op1(isa.OpCvtif, freg(), reg()) },
+		func() {
+			f := freg()
+			b.Op1(isa.OpCvtif, f, reg())
+			b.Op1(isa.OpCvtfi, reg(), f)
+		},
+		func() { b.Load(isa.OpLw, reg(), mask(), dataBase) },
+		func() { b.Store(isa.OpSw, reg(), mask(), dataBase) },
+		func() { b.Load(isa.OpLf, freg(), mask(), dataBase) },
+		func() { b.Store(isa.OpSf, freg(), mask(), dataBase) },
+		func() { b.Print(reg()) },
+		func() { b.PrintF(freg()) },
+		func() { b.Emit(isa.Instr{Op: isa.OpNop, Dst: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg}) },
+	)
+	var deck []int
+	draw := func() {
+		if len(deck) == 0 {
+			deck = rng.Perm(len(gens))
+		}
+		gens[deck[0]]()
+		deck = deck[1:]
 	}
 	condOps := []isa.Opcode{
 		isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBle, isa.OpBgt,
@@ -180,27 +278,7 @@ func randomCFGProgram(rng *rand.Rand) *isa.Program {
 		b.Imm(isa.OpAddi, isa.R(rFuel), isa.R(rFuel), -1)
 		b.Branch(isa.OpBle, isa.R(rFuel), isa.RZero, "exit")
 		for op := 2 + rng.Intn(9); op > 0; op-- {
-			switch rng.Intn(6) {
-			case 0:
-				b.Op(threeReg[rng.Intn(len(threeReg))], reg(), reg(), reg())
-			case 1:
-				o := immOps[rng.Intn(len(immOps))]
-				imm := rng.Int63n(1 << 16)
-				if o == isa.OpSlli || o == isa.OpSrli || o == isa.OpSrai {
-					imm = rng.Int63n(64)
-				}
-				b.Imm(o, reg(), reg(), imm)
-			case 2:
-				b.Li(reg(), rng.Int63n(1<<30))
-			case 3:
-				b.Imm(isa.OpAndi, isa.R(rAddr), reg(), 63)
-				b.Load(isa.OpLw, reg(), isa.R(rAddr), dataBase)
-			case 4:
-				b.Imm(isa.OpAndi, isa.R(rAddr), reg(), 63)
-				b.Store(isa.OpSw, reg(), isa.R(rAddr), dataBase)
-			case 5:
-				b.Op1(isa.OpMov, reg(), reg())
-			}
+			draw()
 		}
 		if rng.Intn(4) == 0 {
 			b.Call("sub")
@@ -213,6 +291,9 @@ func randomCFGProgram(rng *rand.Rand) *isa.Program {
 	b.Label("exit")
 	for r := loData; r <= hiData; r++ {
 		b.Print(isa.R(r))
+	}
+	for r := loF; r <= hiF; r++ {
+		b.PrintF(isa.F(r))
 	}
 	b.Halt()
 	return b.MustFinish()
@@ -229,72 +310,92 @@ func fuzzMachines() []*machine.Config {
 	)
 }
 
-// TestDifferentialRandomCFG fuzzes the block-fused engine against the
-// preserved seed engine on randomized control-flow graphs: cycles, stalls,
-// class counts, and printed output must be bit-identical on every machine,
-// for the fast path, the shared-predecode path, and the instrumented path.
-func TestDifferentialRandomCFG(t *testing.T) {
-	seeds := 16
-	if testing.Short() {
-		seeds = 4
+// checkRandomCFG runs one generated program on cfg every way the engine can
+// run it and holds each to the preserved seed engine: cycles, stalls, class
+// counts, and printed output must be bit-identical for the plain run (trace
+// replay on where the machine qualifies), the shared-predecode run, the
+// hooked run (replay off), and the counted runs, whose per-instruction
+// counters must agree and satisfy the static timing bounds.
+func checkRandomCFG(t *testing.T, p *isa.Program, cfg *machine.Config) {
+	t.Helper()
+	opts := Options{Machine: cfg}
+	want, err := refRun(p, opts)
+	if err != nil {
+		t.Fatalf("%s: reference engine: %v", cfg.Name, err)
 	}
+	run := func(path string, opts Options) *Result {
+		t.Helper()
+		got, err := Run(p, opts)
+		if err != nil {
+			t.Fatalf("%s: %s run: %v", cfg.Name, path, err)
+		}
+		compareResults(t, cfg.Name+"/"+path, want, got)
+		return got
+	}
+	run("plain", opts)
+
+	code, err := Predecode(p, cfg)
+	if err != nil {
+		t.Fatalf("%s: predecode: %v", cfg.Name, err)
+	}
+	copts := opts
+	copts.Code = code
+	run("shared-code", copts)
+
+	hopts := opts
+	hopts.OnIssue = func(int, *isa.Instr, int64, int64) {}
+	run("hooked", hopts)
+
+	// Counted runs: CountInstrs must not perturb timing, the replaying and
+	// the hooked run's counters must agree, and the static bounds oracle
+	// must hold for the measured cycle count.
+	copts.CountInstrs = true
+	hopts.CountInstrs = true
+	fastC := run("counted-shared-code", copts)
+	hookC := run("counted-hooked", hopts)
+	compareCounts(t, cfg.Name+"/counted", fastC, hookC)
+	checkStaticBounds(t, p, cfg, fastC)
+}
+
+// randomCFGSeeds is the number of generator seeds plain `go test` checks.
+func randomCFGSeeds() int {
+	if testing.Short() {
+		return 4
+	}
+	return 16
+}
+
+// TestDifferentialRandomCFG checks the fixed generator seeds, one subtest
+// per seed and machine.
+func TestDifferentialRandomCFG(t *testing.T) {
 	cfgs := fuzzMachines()
-	for seed := 0; seed < seeds; seed++ {
+	for seed := 0; seed < randomCFGSeeds(); seed++ {
 		p := randomCFGProgram(rand.New(rand.NewSource(int64(seed))))
 		for _, cfg := range cfgs {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, cfg.Name), func(t *testing.T) {
-				opts := Options{Machine: cfg}
-				want, err := refRun(p, opts)
-				if err != nil {
-					t.Fatalf("reference engine: %v", err)
-				}
-
-				got, err := Run(p, opts)
-				if err != nil {
-					t.Fatalf("fast path: %v", err)
-				}
-				compareResults(t, "fast", want, got)
-
-				code, err := Predecode(p, cfg)
-				if err != nil {
-					t.Fatalf("predecode: %v", err)
-				}
-				copts := opts
-				copts.Code = code
-				got, err = Run(p, copts)
-				if err != nil {
-					t.Fatalf("shared-code path: %v", err)
-				}
-				compareResults(t, "shared-code", want, got)
-
-				iopts := opts
-				iopts.OnIssue = func(int, *isa.Instr, int64, int64) {}
-				got, err = Run(p, iopts)
-				if err != nil {
-					t.Fatalf("instrumented path: %v", err)
-				}
-				compareResults(t, "instrumented", want, got)
-
-				// Counted runs: CountInstrs must not perturb timing, the
-				// two paths' counters must agree, and the static bounds
-				// oracle must hold for the measured cycle count.
-				copts.CountInstrs = true
-				fastC, err := Run(p, copts)
-				if err != nil {
-					t.Fatalf("counted fast path: %v", err)
-				}
-				compareResults(t, "counted-fast", want, fastC)
-				iopts.CountInstrs = true
-				instC, err := Run(p, iopts)
-				if err != nil {
-					t.Fatalf("counted instrumented path: %v", err)
-				}
-				compareResults(t, "counted-instrumented", want, instC)
-				compareCounts(t, "counted", fastC, instC)
-				checkStaticBounds(t, p, cfg, fastC)
+				checkRandomCFG(t, p, cfg)
 			})
 		}
 	}
+}
+
+// FuzzDifferentialRandomCFG is the same check driven by the fuzzer: each
+// input is a generator seed, run on every fuzz machine. The seed corpus is
+// the fixed seeds above; inputs the fuzzer found failing are committed
+// under testdata/fuzz and replay on every plain `go test`.
+//
+//	go test -run '^$' -fuzz FuzzDifferentialRandomCFG -fuzztime 60s ./internal/sim/
+func FuzzDifferentialRandomCFG(f *testing.F) {
+	for seed := 0; seed < randomCFGSeeds(); seed++ {
+		f.Add(int64(seed))
+	}
+	cfgs := fuzzMachines()
+	f.Fuzz(func(t *testing.T, seed int64) {
+		p := randomCFGProgram(rand.New(rand.NewSource(seed)))
+		for _, cfg := range cfgs {
+			checkRandomCFG(t, p, cfg)
+		}
+	})
 }
 
 // TestSharedCodeConcurrent proves the immutability contract: one predecoded
@@ -363,22 +464,22 @@ func TestDifferentialEngines(t *testing.T) {
 					t.Fatalf("reference engine: %v", err)
 				}
 
-				// Fast path (no caches configured means Run picks it;
-				// with caches the engine is instrumented regardless).
+				// Plain run: trace replay wherever the machine qualifies
+				// (a machine with caches interprets every instruction).
 				got, err := Run(c.Prog, opts)
 				if err != nil {
-					t.Fatalf("fast path: %v", err)
+					t.Fatalf("plain run: %v", err)
 				}
-				compareResults(t, "fast", want, got)
+				compareResults(t, "plain", want, got)
 
-				// Instrumented path, forced via a no-op hook.
+				// Hooked run: a no-op hook turns replay off.
 				iopts := opts
 				iopts.OnIssue = func(int, *isa.Instr, int64, int64) {}
 				got, err = Run(c.Prog, iopts)
 				if err != nil {
-					t.Fatalf("instrumented path: %v", err)
+					t.Fatalf("hooked run: %v", err)
 				}
-				compareResults(t, "instrumented", want, got)
+				compareResults(t, "hooked", want, got)
 
 				// Static bounds oracle on the real benchmark programs.
 				copts := opts
@@ -390,6 +491,28 @@ func TestDifferentialEngines(t *testing.T) {
 				compareResults(t, "counted", want, counted)
 				checkStaticBounds(t, c.Prog, cfg, counted)
 			})
+		}
+	}
+}
+
+// TestRandomCFGCoversOpcodes keeps the generator honest: across the full
+// set of fixed seeds, every opcode must execute at least once, so each case
+// of the engine's semantic switches meets the reference engine.
+func TestRandomCFGCoversOpcodes(t *testing.T) {
+	var n [isa.NumOpcodes]int64
+	for seed := 0; seed < 16; seed++ {
+		p := randomCFGProgram(rand.New(rand.NewSource(int64(seed))))
+		r, err := Run(p, Options{Machine: machine.IdealSuperscalar(4), CountInstrs: true})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i, c := range r.InstrCounts {
+			n[p.Instrs[i].Op] += c
+		}
+	}
+	for op, c := range n {
+		if c == 0 {
+			t.Errorf("opcode %v never executes", isa.Opcode(op))
 		}
 	}
 }

@@ -32,7 +32,7 @@ type Engine struct {
 	// translation buffer. Engines never write through dec.
 	dec    []decoded
 	decBuf []decoded
-	// scheds holds the superblock trace schedules the fast path may replay,
+	// scheds holds the superblock trace schedules the timing loop may replay,
 	// indexed by leader pc: the shared Code's, or the engine's own
 	// (ownScheds) when running without one.
 	scheds []*traceSched
@@ -57,14 +57,9 @@ type Engine struct {
 	// per-class counts at run end — replacing the seed engine's
 	// per-instruction counter store with two array bumps per *block*.
 	enter, exit []int64
-	// classCounts accumulates dynamic instruction counts per class: folded
-	// from enter/exit on the fast path, bumped per instruction on the
-	// instrumented path.
+	// classCounts holds dynamic instruction counts per class, folded from
+	// enter/exit at halt.
 	classCounts [isa.NumClasses]int64
-	// instrCnt and takenExit are the per-instruction counters behind
-	// Options.CountInstrs on the instrumented path; the fast path folds
-	// the same numbers from enter/exit at fillResult and leaves these nil.
-	instrCnt, takenExit []int64
 
 	// regs and ready are sized 256 (not isa.NumRegs) so that indexing by
 	// a Reg (uint8) needs no bounds check in the inner loop.
@@ -211,13 +206,6 @@ func (e *Engine) Reset(p *isa.Program, opts Options) error {
 		e.exit = make([]int64, n)
 	}
 	e.classCounts = [isa.NumClasses]int64{}
-	e.instrCnt, e.takenExit = nil, nil
-	if opts.CountInstrs && (e.icache != nil || e.dcache != nil || opts.OnIssue != nil || opts.OnTrace != nil) {
-		// Only the instrumented path needs live counters; the fast path
-		// folds InstrCounts/TakenExits from enter/exit at fillResult.
-		e.instrCnt = make([]int64, n-1)
-		e.takenExit = make([]int64, n-1)
-	}
 
 	e.cycle, e.inCycle = 0, 0
 	e.barrier, e.barrierIsBr = 0, false
@@ -281,7 +269,7 @@ func (e *Engine) RunInto(p *isa.Program, opts Options, res *Result) error {
 // control transfers, at least every cancelCheckInterval dynamic
 // instructions, so a done context abandons the run (returning the context's
 // cause) within a fraction of a millisecond at typical throughput. A
-// Background context costs nothing on the fast path.
+// Background context costs nothing.
 func (e *Engine) RunIntoCtx(ctx context.Context, p *isa.Program, opts Options, res *Result) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -296,16 +284,7 @@ func (e *Engine) RunIntoCtx(ctx context.Context, p *isa.Program, opts Options, r
 	if maxInstrs == 0 {
 		maxInstrs = DefaultMaxInstructions
 	}
-	// The fast path covers the common case of every ideal-machine sweep:
-	// no caches and no instrumentation callbacks. The instrumented path
-	// carries the icache/dcache model and the OnIssue/OnTrace hooks.
-	var err error
-	if e.icache == nil && e.dcache == nil && opts.OnIssue == nil && opts.OnTrace == nil {
-		err = e.runFast(ctx, maxInstrs, maxInstrs)
-	} else {
-		err = e.runInstrumented(ctx, maxInstrs)
-	}
-	if err != nil {
+	if err := e.runFast(ctx, maxInstrs, maxInstrs); err != nil {
 		return err
 	}
 	e.fillResult(res)
@@ -322,10 +301,13 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 	return min(instrs+cancelCheckInterval, maxInstrs)
 }
 
-// runFast is the uninstrumented inner loop: no caches, no callbacks.
-// Timing semantics are identical to runInstrumented with both caches and
-// both hooks absent, and the inlined semantic switch matches exec case for
-// case (the differential suite pins both paths to the reference engine).
+// runFast is the engine's one per-instruction timing loop. Caches and the
+// OnIssue/OnTrace hooks ride along as branches that predict perfectly when
+// absent: the icache charges its fetch penalty at the issue slot, the dcache
+// lengthens a missing load or raises a barrier behind a missing store, and
+// the hooks fire once per instruction after it executes. Trace replay models
+// neither caches nor hooks, so runs with either interpret every instruction.
+// The differential suite pins every combination to the reference engine.
 //
 // Relative to the seed engine the loop works at basic-block granularity:
 // dynamic instruction counts are two array bumps per contiguous execution
@@ -335,10 +317,9 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 // all beyond `instrs++`. Any loop must execute a control transfer, so the
 // instruction limit and context polls still fire; the one divergence is a
 // straight-line program longer than the limit, which now completes rather
-// than aborting mid-run. Hot ALU+branch pairs are fused into one
-// superinstruction dispatch (see opFusedAluBr), and conflict-free
-// functional units (multiplicity ≥ width, issue latency 1 — every unit of
-// every ideal machine) are elided from the loop entirely at predecode.
+// than aborting mid-run. Conflict-free functional units (multiplicity ≥
+// width, issue latency 1 — every unit of every ideal machine) are elided
+// from the loop entirely at predecode.
 //
 // All hot state lives in locals for the duration of the loop and is written
 // back once at the halt or yield exit; error exits abandon the run, so only
@@ -361,7 +342,12 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 	regs := &e.regs
 	ready := &e.ready
 	enter, exit := e.enter, e.exit
+	icache, dcache := e.icache, e.dcache
+	hooked := e.opts.OnIssue != nil || e.opts.OnTrace != nil
 	scheds := e.scheds
+	if icache != nil || dcache != nil || hooked {
+		scheds = nil
+	}
 
 	cycle, barrier := e.cycle, e.barrier
 	inCycle := int64(e.inCycle)
@@ -379,7 +365,7 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 	checkAt := min(nextCheck(done, instrs, maxInstrs), stopAt)
 
 	// skipCheck elides the trace-entry register scan across consecutive
-	// iterations of a proven-stable loop trace (see the check label);
+	// iterations of a proven-stable loop trace (see the replay loop);
 	// stableIdx is the exit that proved it.
 	skipCheck := false
 	stableIdx := 0
@@ -407,6 +393,11 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			}
 			slot = barrier
 		}
+		if icache != nil && !icache.Access(int64(idx)) {
+			pen := int64(icache.MissPenalty())
+			stalls.ICache += pen
+			slot += pen
+		}
 		issue := slot
 
 		// 2. Operand availability (RAW through the scoreboard). The probes
@@ -419,13 +410,22 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 		stalls.Data += m - issue
 		issue = m
 
-		// 3. Operation latency and the data-memory address.
+		// 3. Operation latency, the data-memory address, and data-cache
+		// effects: a load miss lengthens the load, a store miss holds the
+		// next issue back (storePen, applied in the store case below).
 		lat := d.lat
-		var memAddr int64
+		var memAddr, storePen int64
 		if d.flags&fMem != 0 {
 			memAddr = regs[d.src1] + d.imm
 			if memAddr < 0 || memAddr >= memLen {
 				return fmt.Errorf("sim: pc %d (%s): address %d out of range", idx, &e.prog.Instrs[idx], memAddr)
+			}
+			if dcache != nil && !dcache.Access(memAddr) {
+				if d.flags&fLoad != 0 {
+					lat += int64(dcache.MissPenalty())
+				} else {
+					storePen = int64(dcache.MissPenalty())
+				}
 			}
 		}
 
@@ -472,12 +472,12 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 		}
 		lastComplete = max(lastComplete, complete)
 
-		// 6. Execute (program order, at issue) — exec's switch, inlined to
-		// spare a function call (and the spill of all the locals above)
-		// per dynamic instruction. Control transfers leave through the
-		// boundary epilogue below; straight-line ops fall out of the
-		// switch into the two-instruction epilogue.
-		switch d.fop {
+		// 6. Execute (program order, at issue), inlined to spare a function
+		// call (and the spill of all the locals above) per dynamic
+		// instruction. Control transfers leave through the boundary
+		// epilogue below; straight-line ops fall out of the switch into
+		// the straight-line epilogue.
+		switch d.op {
 		case isa.OpNop:
 		case isa.OpAdd:
 			e.setReg(d.dst, regs[d.src1]+regs[d.src2])
@@ -544,6 +544,12 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 		case isa.OpSw, isa.OpSf:
 			mem[memAddr] = regs[d.src2]
 			e.markStore(int(memAddr))
+			if storePen > 0 {
+				stalls.DCache += storePen
+				if b := issue + storePen; b > barrier {
+					barrier, barrierIsBr = b, false
+				}
+			}
 		case isa.OpBeq:
 			if regs[d.src1] == regs[d.src2] {
 				taken, next = true, int(d.target)
@@ -591,259 +597,6 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			}
 			taken, next = true, t
 			goto boundary
-		case opFusedAluBr:
-			// A fused ALU+conditional-branch pair. The head (this
-			// entry, architectural op d.op) has fully issued above;
-			// apply its semantics, then inline the branch at idx+1
-			// through the exact timing steps it would take standalone:
-			// width limit, barrier, RAW — no destination, no memory,
-			// and a conflict-free unit (fusion requires it).
-			{
-				var v int64
-				switch d.op {
-				case isa.OpAdd:
-					v = regs[d.src1] + regs[d.src2]
-				case isa.OpAddi:
-					v = regs[d.src1] + d.imm
-				case isa.OpSub:
-					v = regs[d.src1] - regs[d.src2]
-				case isa.OpAnd:
-					v = regs[d.src1] & regs[d.src2]
-				case isa.OpOr:
-					v = regs[d.src1] | regs[d.src2]
-				case isa.OpXor:
-					v = regs[d.src1] ^ regs[d.src2]
-				case isa.OpAndi:
-					v = regs[d.src1] & d.imm
-				case isa.OpOri:
-					v = regs[d.src1] | d.imm
-				case isa.OpXori:
-					v = regs[d.src1] ^ d.imm
-				case isa.OpSlt:
-					v = b2i(regs[d.src1] < regs[d.src2])
-				case isa.OpSle:
-					v = b2i(regs[d.src1] <= regs[d.src2])
-				case isa.OpSeq:
-					v = b2i(regs[d.src1] == regs[d.src2])
-				case isa.OpSne:
-					v = b2i(regs[d.src1] != regs[d.src2])
-				case isa.OpSll:
-					v = regs[d.src1] << (uint64(regs[d.src2]) & 63)
-				case isa.OpSrl:
-					v = int64(uint64(regs[d.src1]) >> (uint64(regs[d.src2]) & 63))
-				case isa.OpSra:
-					v = regs[d.src1] >> (uint64(regs[d.src2]) & 63)
-				case isa.OpSlli:
-					v = regs[d.src1] << (uint64(d.imm) & 63)
-				case isa.OpSrli:
-					v = int64(uint64(regs[d.src1]) >> (uint64(d.imm) & 63))
-				case isa.OpSrai:
-					v = regs[d.src1] >> (uint64(d.imm) & 63)
-				case isa.OpLi:
-					v = d.imm
-				case isa.OpMov:
-					v = regs[d.src1]
-				default:
-					return fmt.Errorf("sim: pc %d: bad fused head opcode %v", idx, d.op)
-				}
-				regs[d.dst] = v // fusion requires fDst, so dst is never r0
-
-				bd := &dec[idx+1]
-				var overB int64
-				if inCycle >= width {
-					overB = 1
-				}
-				slotB := cycle + overB
-				stalls.Width += overB
-				if barrier > slotB {
-					if barrierIsBr {
-						stalls.Branch += barrier - slotB
-					}
-					slotB = barrier
-				}
-				issueB := slotB
-				m = max(issueB, max(ready[bd.src1], ready[bd.src2]))
-				stalls.Data += m - issueB
-				issueB = m
-				if issueB > cycle {
-					cycle = issueB
-					inCycle = 1
-					groups++
-				} else {
-					inCycle++ // the head issued, so inCycle >= 1 here
-				}
-				lastComplete = max(lastComplete, issueB+bd.lat)
-
-				var bTaken bool
-				switch bd.op {
-				case isa.OpBeq:
-					bTaken = regs[bd.src1] == regs[bd.src2]
-				case isa.OpBne:
-					bTaken = regs[bd.src1] != regs[bd.src2]
-				case isa.OpBlt:
-					bTaken = regs[bd.src1] < regs[bd.src2]
-				case isa.OpBge:
-					bTaken = regs[bd.src1] >= regs[bd.src2]
-				case isa.OpBle:
-					bTaken = regs[bd.src1] <= regs[bd.src2]
-				case isa.OpBgt:
-					bTaken = regs[bd.src1] > regs[bd.src2]
-				}
-				instrs += 2
-				if bTaken {
-					pc = int(bd.target)
-					exit[idx+1]++
-					enter[pc]++
-					if takenEnds {
-						if b := issueB + bd.lat + redirect; b > barrier {
-							barrier, barrierIsBr = b, true
-						}
-					}
-				} else {
-					pc = idx + 2
-				}
-			}
-			goto check
-		case opFusedAluAlu:
-			// A fused pair of integer ALU instructions: the head has
-			// fully issued above; apply its semantics, then inline the
-			// second ALU op at idx+1 through its standalone issue steps
-			// (width limit, barrier, RAW, WAW, scoreboard write; a
-			// conflict-free unit — fusion requires it). Straight-line,
-			// so no block bookkeeping and no limit compare.
-			{
-				var v int64
-				switch d.op {
-				case isa.OpAdd:
-					v = regs[d.src1] + regs[d.src2]
-				case isa.OpAddi:
-					v = regs[d.src1] + d.imm
-				case isa.OpSub:
-					v = regs[d.src1] - regs[d.src2]
-				case isa.OpAnd:
-					v = regs[d.src1] & regs[d.src2]
-				case isa.OpOr:
-					v = regs[d.src1] | regs[d.src2]
-				case isa.OpXor:
-					v = regs[d.src1] ^ regs[d.src2]
-				case isa.OpAndi:
-					v = regs[d.src1] & d.imm
-				case isa.OpOri:
-					v = regs[d.src1] | d.imm
-				case isa.OpXori:
-					v = regs[d.src1] ^ d.imm
-				case isa.OpSlt:
-					v = b2i(regs[d.src1] < regs[d.src2])
-				case isa.OpSle:
-					v = b2i(regs[d.src1] <= regs[d.src2])
-				case isa.OpSeq:
-					v = b2i(regs[d.src1] == regs[d.src2])
-				case isa.OpSne:
-					v = b2i(regs[d.src1] != regs[d.src2])
-				case isa.OpSll:
-					v = regs[d.src1] << (uint64(regs[d.src2]) & 63)
-				case isa.OpSrl:
-					v = int64(uint64(regs[d.src1]) >> (uint64(regs[d.src2]) & 63))
-				case isa.OpSra:
-					v = regs[d.src1] >> (uint64(regs[d.src2]) & 63)
-				case isa.OpSlli:
-					v = regs[d.src1] << (uint64(d.imm) & 63)
-				case isa.OpSrli:
-					v = int64(uint64(regs[d.src1]) >> (uint64(d.imm) & 63))
-				case isa.OpSrai:
-					v = regs[d.src1] >> (uint64(d.imm) & 63)
-				case isa.OpLi:
-					v = d.imm
-				case isa.OpMov:
-					v = regs[d.src1]
-				default:
-					return fmt.Errorf("sim: pc %d: bad fused head opcode %v", idx, d.op)
-				}
-				regs[d.dst] = v // fusion requires fDst, so dst is never r0
-
-				bd := &dec[idx+1]
-				var overB int64
-				if inCycle >= width {
-					overB = 1
-				}
-				slotB := cycle + overB
-				stalls.Width += overB
-				if barrier > slotB {
-					if barrierIsBr {
-						stalls.Branch += barrier - slotB
-					}
-					slotB = barrier
-				}
-				issueB := slotB
-				m = max(issueB, max(ready[bd.src1], ready[bd.src2]))
-				stalls.Data += m - issueB
-				issueB = m
-				latB := bd.lat
-				m = max(issueB, ready[bd.dst]-latB)
-				stalls.Write += m - issueB
-				issueB = m
-				if issueB > cycle {
-					cycle = issueB
-					inCycle = 1
-					groups++
-				} else {
-					inCycle++ // the head issued, so inCycle >= 1 here
-				}
-				completeB := issueB + latB
-				ready[bd.dst] = completeB
-				lastComplete = max(lastComplete, completeB)
-
-				switch bd.op {
-				case isa.OpAdd:
-					v = regs[bd.src1] + regs[bd.src2]
-				case isa.OpAddi:
-					v = regs[bd.src1] + bd.imm
-				case isa.OpSub:
-					v = regs[bd.src1] - regs[bd.src2]
-				case isa.OpAnd:
-					v = regs[bd.src1] & regs[bd.src2]
-				case isa.OpOr:
-					v = regs[bd.src1] | regs[bd.src2]
-				case isa.OpXor:
-					v = regs[bd.src1] ^ regs[bd.src2]
-				case isa.OpAndi:
-					v = regs[bd.src1] & bd.imm
-				case isa.OpOri:
-					v = regs[bd.src1] | bd.imm
-				case isa.OpXori:
-					v = regs[bd.src1] ^ bd.imm
-				case isa.OpSlt:
-					v = b2i(regs[bd.src1] < regs[bd.src2])
-				case isa.OpSle:
-					v = b2i(regs[bd.src1] <= regs[bd.src2])
-				case isa.OpSeq:
-					v = b2i(regs[bd.src1] == regs[bd.src2])
-				case isa.OpSne:
-					v = b2i(regs[bd.src1] != regs[bd.src2])
-				case isa.OpSll:
-					v = regs[bd.src1] << (uint64(regs[bd.src2]) & 63)
-				case isa.OpSrl:
-					v = int64(uint64(regs[bd.src1]) >> (uint64(regs[bd.src2]) & 63))
-				case isa.OpSra:
-					v = regs[bd.src1] >> (uint64(regs[bd.src2]) & 63)
-				case isa.OpSlli:
-					v = regs[bd.src1] << (uint64(bd.imm) & 63)
-				case isa.OpSrli:
-					v = int64(uint64(regs[bd.src1]) >> (uint64(bd.imm) & 63))
-				case isa.OpSrai:
-					v = regs[bd.src1] >> (uint64(bd.imm) & 63)
-				case isa.OpLi:
-					v = bd.imm
-				case isa.OpMov:
-					v = regs[bd.src1]
-				default:
-					return fmt.Errorf("sim: pc %d: bad fused tail opcode %v", idx+1, bd.op)
-				}
-				regs[bd.dst] = v
-			}
-			pc = idx + 2
-			instrs += 2
-			continue
 		case isa.OpFadd:
 			e.setRegF(d.dst, e.regF(d.src1)+e.regF(d.src2))
 		case isa.OpFsub:
@@ -893,6 +646,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			exit[idx]++
 			e.halted = true
 			pc = idx
+			if hooked {
+				e.hook(idx, d, issue, complete, memAddr)
+			}
 			goto out
 		case opOutOfRange:
 			return fmt.Errorf("sim: pc %d out of range", idx)
@@ -902,6 +658,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 		// Straight-line epilogue: no block bookkeeping, no limit compare.
 		pc = next
 		instrs++
+		if hooked {
+			e.hook(idx, d, issue, complete, memAddr)
+		}
 		continue
 
 	boundary:
@@ -912,6 +671,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 		// interval in branch-dense code.
 		pc = next
 		instrs++
+		if hooked {
+			e.hook(idx, d, issue, complete, memAddr)
+		}
 		if taken {
 			exit[idx]++
 			enter[next]++
@@ -927,7 +689,6 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			}
 		}
 
-	check:
 		// Trace replay: if the instruction at pc roots a superblock trace,
 		// and we arrived behind a fresh taken-branch barrier (so the trace's
 		// first instruction issues exactly at the barrier), and no register
@@ -1147,186 +908,6 @@ func (e *Engine) foldCounts() {
 	}
 }
 
-// runInstrumented is the slow path: the same discipline as runFast plus
-// instruction/data cache modeling and the OnIssue/OnTrace callbacks. It is
-// selected once at RunInto, never per instruction. It dispatches on the
-// architectural opcode, so fused superinstructions do not exist here, and
-// class counts are bumped per instruction (the callbacks already cost far
-// more than the counter).
-func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
-	width := int64(e.cfg.IssueWidth)
-	takenEnds := e.cfg.TakenBranchEndsGroup
-	redirect := int64(e.cfg.BranchRedirect)
-	onIssue, onTrace := e.opts.OnIssue, e.opts.OnTrace
-	cnts, exits := e.instrCnt, e.takenExit
-	dec := e.dec[:len(e.dec)-1] // drop the fast path's sentinel entry
-	memLen := int64(len(e.mem))
-	done := ctx.Done()
-	checkAt := nextCheck(done, e.instrs, maxInstrs)
-	for !e.halted {
-		if e.pc < 0 || e.pc >= len(dec) {
-			return fmt.Errorf("sim: pc %d out of range", e.pc)
-		}
-		if e.instrs >= checkAt {
-			if e.instrs >= maxInstrs {
-				return fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", maxInstrs)
-			}
-			select {
-			case <-done:
-				return ctxErr(ctx)
-			default:
-			}
-			checkAt = nextCheck(done, e.instrs, maxInstrs)
-		}
-		idx := e.pc
-		d := &dec[idx]
-		e.classCounts[d.class]++
-
-		// 1. Earliest slot under the in-order, width-limited discipline.
-		slot := e.cycle
-		if int64(e.inCycle) >= width {
-			slot = e.cycle + 1
-			e.stalls.Width++
-		}
-		if e.barrier > slot {
-			if e.barrierIsBr {
-				e.stalls.Branch += e.barrier - slot
-			}
-			slot = e.barrier
-		}
-
-		// 2. Instruction fetch.
-		if e.icache != nil {
-			if !e.icache.Access(int64(idx)) {
-				pen := int64(e.icache.MissPenalty())
-				e.stalls.ICache += pen
-				slot += pen
-			}
-		}
-		issue := slot
-
-		// 3. Operand availability (RAW through the scoreboard).
-		if d.flags&fSrc1 != 0 {
-			if t := e.ready[d.src1]; t > issue {
-				e.stalls.Data += t - issue
-				issue = t
-			}
-		}
-		if d.flags&fSrc2 != 0 {
-			if t := e.ready[d.src2]; t > issue {
-				e.stalls.Data += t - issue
-				issue = t
-			}
-		}
-
-		// 4. Operation latency, including data-cache effects on loads.
-		lat := d.lat
-		var memAddr int64
-		if d.flags&fMem != 0 {
-			memAddr = e.regs[d.src1] + d.imm
-			if memAddr < 0 || memAddr >= memLen {
-				return fmt.Errorf("sim: pc %d (%s): address %d out of range", idx, &e.prog.Instrs[idx], memAddr)
-			}
-		}
-		var storeMissPenalty int64
-		if e.dcache != nil && d.flags&(fLoad|fStore) != 0 {
-			addr := memAddr
-			if d.flags&fPrint != 0 {
-				addr = 0 // output port; treat as uncached hit
-			} else if !e.dcache.Access(addr) {
-				pen := int64(e.dcache.MissPenalty())
-				if d.flags&fLoad != 0 {
-					lat += pen
-				} else {
-					storeMissPenalty = pen
-				}
-			}
-		}
-
-		// 5. Write-order (WAW).
-		if d.flags&fDst != 0 {
-			if t := e.ready[d.dst] - lat; t > issue {
-				e.stalls.Write += t - issue
-				issue = t
-			}
-		}
-
-		// 6. Functional-unit availability (class conflicts).
-		best := int(d.unitOff)
-		for i := best + 1; i < int(d.unitOff)+int(d.unitLen); i++ {
-			if e.unitFree[i] < e.unitFree[best] {
-				best = i
-			}
-		}
-		if t := e.unitFree[best]; t > issue {
-			e.stalls.Unit += t - issue
-			issue = t
-		}
-
-		// Commit the issue slot.
-		if issue > e.cycle {
-			e.cycle = issue
-			e.inCycle = 1
-			e.groups++
-		} else {
-			if e.inCycle == 0 {
-				e.groups++ // very first issue slot
-			}
-			e.inCycle++
-		}
-		e.unitFree[best] = issue + d.issueLat
-		complete := issue + lat
-		if d.flags&fDst != 0 {
-			e.ready[d.dst] = complete
-		}
-		if complete > e.lastComplete {
-			e.lastComplete = complete
-		}
-		if storeMissPenalty > 0 {
-			e.stalls.DCache += storeMissPenalty
-			if b := issue + storeMissPenalty; b > e.barrier {
-				e.barrier = b
-				e.barrierIsBr = false
-			}
-		}
-
-		// 7. Execute (program order, at issue).
-		taken, err := e.exec(idx, d, memAddr)
-		if err != nil {
-			return err
-		}
-		e.instrs++
-		if cnts != nil {
-			cnts[idx]++
-			if taken || e.halted {
-				exits[idx]++
-			}
-		}
-		if onIssue != nil {
-			onIssue(idx, &e.prog.Instrs[idx], issue, complete)
-		}
-		if onTrace != nil {
-			a := int64(-1)
-			if d.flags&fMem != 0 {
-				a = memAddr
-			}
-			onTrace(idx, &e.prog.Instrs[idx], a)
-		}
-		if taken && takenEnds {
-			// A taken branch ends its issue group, and the target may
-			// not issue until the branch's operation latency has
-			// elapsed — one base cycle on the ideal machines, so a
-			// degree-m superpipeline pays m minor cycles, which is the
-			// §4.1 startup transient at every branch target.
-			if b := issue + lat + redirect; b > e.barrier {
-				e.barrier = b
-				e.barrierIsBr = true
-			}
-		}
-	}
-	return nil
-}
-
 // setReg writes an integer-file result, honoring the hardwired zero.
 func (e *Engine) setReg(reg isa.Reg, v int64) {
 	if reg != isa.RZero {
@@ -1346,155 +927,22 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// exec performs the semantic effect of the instruction and advances the pc.
-// It reports whether a control transfer was taken.
-func (e *Engine) exec(idx int, d *decoded, memAddr int64) (taken bool, err error) {
-	regs := &e.regs
-	next := idx + 1
-
-	switch d.op {
-	case isa.OpNop:
-	case isa.OpAdd:
-		e.setReg(d.dst, regs[d.src1]+regs[d.src2])
-	case isa.OpAddi:
-		e.setReg(d.dst, regs[d.src1]+d.imm)
-	case isa.OpSub:
-		e.setReg(d.dst, regs[d.src1]-regs[d.src2])
-	case isa.OpMul:
-		e.setReg(d.dst, regs[d.src1]*regs[d.src2])
-	case isa.OpDiv:
-		dv := regs[d.src2]
-		if dv == 0 {
-			return false, fmt.Errorf("sim: pc %d (%s): integer division by zero", idx, &e.prog.Instrs[idx])
-		}
-		e.setReg(d.dst, regs[d.src1]/dv)
-	case isa.OpRem:
-		dv := regs[d.src2]
-		if dv == 0 {
-			return false, fmt.Errorf("sim: pc %d (%s): integer remainder by zero", idx, &e.prog.Instrs[idx])
-		}
-		e.setReg(d.dst, regs[d.src1]%dv)
-	case isa.OpSlt:
-		e.setReg(d.dst, b2i(regs[d.src1] < regs[d.src2]))
-	case isa.OpSle:
-		e.setReg(d.dst, b2i(regs[d.src1] <= regs[d.src2]))
-	case isa.OpSeq:
-		e.setReg(d.dst, b2i(regs[d.src1] == regs[d.src2]))
-	case isa.OpSne:
-		e.setReg(d.dst, b2i(regs[d.src1] != regs[d.src2]))
-	case isa.OpAnd:
-		e.setReg(d.dst, regs[d.src1]&regs[d.src2])
-	case isa.OpOr:
-		e.setReg(d.dst, regs[d.src1]|regs[d.src2])
-	case isa.OpXor:
-		e.setReg(d.dst, regs[d.src1]^regs[d.src2])
-	case isa.OpAndi:
-		e.setReg(d.dst, regs[d.src1]&d.imm)
-	case isa.OpOri:
-		e.setReg(d.dst, regs[d.src1]|d.imm)
-	case isa.OpXori:
-		e.setReg(d.dst, regs[d.src1]^d.imm)
-	case isa.OpSll:
-		e.setReg(d.dst, regs[d.src1]<<(uint64(regs[d.src2])&63))
-	case isa.OpSrl:
-		e.setReg(d.dst, int64(uint64(regs[d.src1])>>(uint64(regs[d.src2])&63)))
-	case isa.OpSra:
-		e.setReg(d.dst, regs[d.src1]>>(uint64(regs[d.src2])&63))
-	case isa.OpSlli:
-		e.setReg(d.dst, regs[d.src1]<<(uint64(d.imm)&63))
-	case isa.OpSrli:
-		e.setReg(d.dst, int64(uint64(regs[d.src1])>>(uint64(d.imm)&63)))
-	case isa.OpSrai:
-		e.setReg(d.dst, regs[d.src1]>>(uint64(d.imm)&63))
-	case isa.OpLi:
-		e.setReg(d.dst, d.imm)
-	case isa.OpMov:
-		e.setReg(d.dst, regs[d.src1])
-	case isa.OpFli:
-		e.setRegF(d.dst, d.fimm)
-	case isa.OpFmov:
-		e.setReg(d.dst, regs[d.src1])
-	case isa.OpLw, isa.OpLf:
-		e.setReg(d.dst, e.mem[memAddr])
-	case isa.OpSw, isa.OpSf:
-		e.mem[memAddr] = regs[d.src2]
-		e.markStore(int(memAddr))
-	case isa.OpBeq:
-		taken = regs[d.src1] == regs[d.src2]
-	case isa.OpBne:
-		taken = regs[d.src1] != regs[d.src2]
-	case isa.OpBlt:
-		taken = regs[d.src1] < regs[d.src2]
-	case isa.OpBge:
-		taken = regs[d.src1] >= regs[d.src2]
-	case isa.OpBle:
-		taken = regs[d.src1] <= regs[d.src2]
-	case isa.OpBgt:
-		taken = regs[d.src1] > regs[d.src2]
-	case isa.OpJ:
-		taken = true
-	case isa.OpJal:
-		e.setReg(d.dst, int64(idx+1))
-		taken = true
-	case isa.OpJr:
-		next = int(regs[d.src1])
-		taken = true
-	case isa.OpFadd:
-		e.setRegF(d.dst, e.regF(d.src1)+e.regF(d.src2))
-	case isa.OpFsub:
-		e.setRegF(d.dst, e.regF(d.src1)-e.regF(d.src2))
-	case isa.OpFneg:
-		e.setRegF(d.dst, -e.regF(d.src1))
-	case isa.OpFabs:
-		e.setRegF(d.dst, math.Abs(e.regF(d.src1)))
-	case isa.OpFmul:
-		e.setRegF(d.dst, e.regF(d.src1)*e.regF(d.src2))
-	case isa.OpFdiv:
-		e.setRegF(d.dst, e.regF(d.src1)/e.regF(d.src2))
-	case isa.OpCvtif:
-		e.setRegF(d.dst, float64(regs[d.src1]))
-	case isa.OpCvtfi:
-		f := e.regF(d.src1)
-		if math.IsNaN(f) || f >= 9.3e18 || f <= -9.3e18 {
-			return false, fmt.Errorf("sim: pc %d (%s): float-to-int overflow (%g)", idx, &e.prog.Instrs[idx], f)
-		}
-		e.setReg(d.dst, int64(f))
-	case isa.OpFslt:
-		e.setReg(d.dst, b2i(e.regF(d.src1) < e.regF(d.src2)))
-	case isa.OpFsle:
-		e.setReg(d.dst, b2i(e.regF(d.src1) <= e.regF(d.src2)))
-	case isa.OpFseq:
-		e.setReg(d.dst, b2i(e.regF(d.src1) == e.regF(d.src2)))
-	case isa.OpFsne:
-		e.setReg(d.dst, b2i(e.regF(d.src1) != e.regF(d.src2)))
-	case isa.OpFsqrt:
-		e.setRegF(d.dst, math.Sqrt(e.regF(d.src1)))
-	case isa.OpFsin:
-		e.setRegF(d.dst, math.Sin(e.regF(d.src1)))
-	case isa.OpFcos:
-		e.setRegF(d.dst, math.Cos(e.regF(d.src1)))
-	case isa.OpFatn:
-		e.setRegF(d.dst, math.Atan(e.regF(d.src1)))
-	case isa.OpFexp:
-		e.setRegF(d.dst, math.Exp(e.regF(d.src1)))
-	case isa.OpFlog:
-		e.setRegF(d.dst, math.Log(e.regF(d.src1)))
-	case isa.OpPrinti:
-		e.output = append(e.output, isa.IntValue(regs[d.src1]))
-	case isa.OpPrintf:
-		e.output = append(e.output, isa.FloatValue(e.regF(d.src1)))
-	case isa.OpHalt:
-		e.halted = true
-		return false, nil
-	default:
-		return false, fmt.Errorf("sim: pc %d: unimplemented opcode %v", idx, d.op)
+// hook reports one executed instruction to the OnIssue and OnTrace
+// callbacks. It is kept out of line so the timing loop, which calls it only
+// on hooked runs, does not carry its frame.
+//
+//go:noinline
+func (e *Engine) hook(idx int, d *decoded, issue, complete, memAddr int64) {
+	in := &e.prog.Instrs[idx]
+	if e.opts.OnIssue != nil {
+		e.opts.OnIssue(idx, in, issue, complete)
 	}
-
-	if taken && d.op != isa.OpJr {
-		next = int(d.target)
+	if e.opts.OnTrace != nil {
+		if d.flags&fMem == 0 {
+			memAddr = -1
+		}
+		e.opts.OnTrace(idx, in, memAddr)
 	}
-	e.pc = next
-	return taken, nil
 }
 
 // regF reads a register as a float64.
@@ -1514,25 +962,18 @@ func (e *Engine) fillResult(res *Result) {
 	res.Stalls = e.stalls
 	res.InstrCounts, res.TakenExits = nil, nil
 	if e.opts.CountInstrs {
+		// Fold the block entry/exit counters, exactly as foldCounts does
+		// for the class mix. exit already counts both taken transfers and
+		// the final halt.
 		n := len(e.dec) - 1
 		counts := make([]int64, n)
-		exits := make([]int64, n)
-		if e.instrCnt != nil {
-			copy(counts, e.instrCnt)
-			copy(exits, e.takenExit)
-		} else {
-			// Fast path: fold the block entry/exit counters, exactly as
-			// foldCounts does for the class mix. exit already counts both
-			// taken transfers and the final halt.
-			var live int64
-			for i := 0; i < n; i++ {
-				live += e.enter[i]
-				counts[i] = live
-				live -= e.exit[i]
-			}
-			copy(exits, e.exit[:n])
+		var live int64
+		for i := 0; i < n; i++ {
+			live += e.enter[i]
+			counts[i] = live
+			live -= e.exit[i]
 		}
-		res.InstrCounts, res.TakenExits = counts, exits
+		res.InstrCounts, res.TakenExits = counts, append([]int64(nil), e.exit[:n]...)
 	}
 	res.ICacheStats, res.DCacheStats = nil, nil
 	if e.icache != nil {

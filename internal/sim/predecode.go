@@ -13,27 +13,22 @@ import (
 type dflags uint8
 
 const (
-	// fSrc1 and fSrc2 mark register sources read through the scoreboard.
-	fSrc1 dflags = 1 << iota
-	fSrc2
 	// fDst marks a scoreboarded destination (HasDst, not r0).
-	fDst
-	// fMem marks instructions that compute a data-memory address
-	// (loads and real stores; prints ship through the output port).
+	fDst dflags = 1 << iota
+	// fMem marks instructions that compute a data-memory address and
+	// access the data cache (loads and real stores; prints ship through
+	// the uncached output port).
 	fMem
-	// fLoad and fStore mirror OpInfo.Load / OpInfo.Store.
+	// fLoad mirrors OpInfo.Load: a data-cache miss lengthens the
+	// instruction instead of holding back the next issue.
 	fLoad
-	fStore
-	// fPrint marks printi/printf, whose data-cache access is the
-	// uncached output port.
-	fPrint
 	// fUnit marks instructions whose functional unit can actually bind:
 	// the lane scan and the issue-latency booking only matter when the
 	// unit's multiplicity is below the machine's issue width or its issue
 	// latency exceeds one. Otherwise at most width-1 other instructions
 	// can have booked a lane in the current minor cycle and every older
 	// booking is already free, so a free lane always exists at the issue
-	// slot — the scan can neither stall nor bind, and the fast path skips
+	// slot — the scan can neither stall nor bind, and the timing loop skips
 	// it entirely. Ideal machines (the sweep's hot spot) skip every unit.
 	fUnit
 )
@@ -45,11 +40,9 @@ const (
 // bytes — purely static facts, no per-run state — so a predecoded program
 // (see Code) is immutable and can be shared read-only across engines.
 type decoded struct {
-	op  isa.Opcode // architectural opcode (instrumented path, errors)
-	fop isa.Opcode // fast-path dispatch opcode: op, or a fused superinstruction
+	op isa.Opcode // architectural opcode
 	// class is the instruction's isa.Class; dynamic per-class counts are
-	// kept per-engine (folded from block entry/exit counters on the fast
-	// path), never here.
+	// kept per-engine (folded from block entry/exit counters), never here.
 	class uint8
 	flags dflags
 	dst   isa.Reg // raw destination (may be r0; fDst already excludes it)
@@ -68,27 +61,11 @@ type decoded struct {
 // opOutOfRange is the opcode of the sentinel decoded entry appended after
 // the last real instruction. A validated program can only leave [0, n) by
 // falling off the end (pc == n, which lands on the sentinel and reports the
-// out-of-range error from inside the fast loop's switch) or through jr
-// (whose computed target is range-checked in its case) — so the fast loop
+// out-of-range error from inside the timing loop's switch) or through jr
+// (whose computed target is range-checked in its case) — so the loop
 // needs no per-instruction pc bounds check. The value extends the opcode
 // jump table by one slot, keeping it dense.
 const opOutOfRange = isa.Opcode(isa.NumOpcodes)
-
-// opFusedAluBr is the fast-path dispatch opcode of a fused superinstruction:
-// an integer ALU op immediately followed by a conditional branch (the
-// compare+branch and induction-increment+branch idioms that close almost
-// every loop). The head entry dispatches the pair as one case; the branch's
-// own entry at i+1 stays intact, so jumps that land on the branch directly
-// still execute it standalone, and the instrumented path (which dispatches
-// on the architectural op) is unaffected.
-const opFusedAluBr = isa.Opcode(isa.NumOpcodes + 1)
-
-// opFusedAluAlu is the fast-path dispatch opcode of a fused pair of integer
-// ALU instructions: straight-line code runs two instructions per dispatch,
-// halving interpreter overhead (the indirect switch branch and the loop
-// epilogue) on the sequential bodies between branches. As with
-// opFusedAluBr, the second entry stays intact for direct jumps.
-const opFusedAluAlu = isa.Opcode(isa.NumOpcodes + 2)
 
 // Code is an immutable predecoded program: the translation of one
 // isa.Program against one machine schedule. It carries no per-run state, so
@@ -195,24 +172,6 @@ func (c *Code) matches(p *isa.Program, cfg *machine.Config) error {
 	return nil
 }
 
-// fusibleALU reports whether op qualifies as the head of a fused
-// ALU+branch pair: a single-cycle-semantics integer op with no side effects
-// beyond its destination register (no memory, no traps, no control).
-// The set must match the semantic sub-switch in runFast's opFusedAluBr case.
-func fusibleALU(op isa.Opcode) bool {
-	switch op {
-	case isa.OpAdd, isa.OpAddi, isa.OpSub,
-		isa.OpAnd, isa.OpOr, isa.OpXor,
-		isa.OpAndi, isa.OpOri, isa.OpXori,
-		isa.OpSlt, isa.OpSle, isa.OpSeq, isa.OpSne,
-		isa.OpSll, isa.OpSrl, isa.OpSra,
-		isa.OpSlli, isa.OpSrli, isa.OpSrai,
-		isa.OpLi, isa.OpMov:
-		return true
-	}
-	return false
-}
-
 // condBranch reports whether op is a conditional branch.
 func condBranch(op isa.Opcode) bool {
 	switch op {
@@ -252,43 +211,30 @@ func predecodeInto(dec []decoded, p *isa.Program, cfg *machine.Config) []decoded
 	}
 	// The sentinel issues harmlessly (no operands, no memory, no unit) and
 	// then errors from the semantic switch; the run is abandoned anyway.
-	dec[n] = decoded{op: opOutOfRange, fop: opOutOfRange, unitLen: 1, issueLat: 1, lat: 1}
+	dec[n] = decoded{op: opOutOfRange, unitLen: 1, issueLat: 1, lat: 1}
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		info := in.Op.Info()
 		cl := in.Op.Class()
 		var f dflags
-		if info.NSrc >= 1 && in.Src1 != isa.NoReg {
-			f |= fSrc1
-		}
-		if info.NSrc >= 2 && in.Src2 != isa.NoReg {
-			f |= fSrc2
-		}
 		if info.HasDst && in.Dst != isa.NoReg && in.Dst != isa.RZero {
 			f |= fDst
 		}
 		// Unused source operands are remapped to r0 so the inner loop can
 		// probe the scoreboard unconditionally: fDst never covers r0, so
-		// ready[r0] is always zero and can never look busy. Instructions
-		// without fSrc1/fSrc2 never read the operand semantically either.
+		// ready[r0] is always zero and can never look busy. An instruction
+		// never reads an unused operand semantically either.
 		s1, s2 := in.Src1, in.Src2
-		if f&fSrc1 == 0 {
+		if info.NSrc < 1 || s1 == isa.NoReg {
 			s1 = isa.RZero
 		}
-		if f&fSrc2 == 0 {
+		if info.NSrc < 2 || s2 == isa.NoReg {
 			s2 = isa.RZero
-		}
-		isPrint := in.Op == isa.OpPrinti || in.Op == isa.OpPrintf
-		if isPrint {
-			f |= fPrint
 		}
 		if info.Load {
 			f |= fLoad
 		}
-		if info.Store {
-			f |= fStore
-		}
-		if info.Load || (info.Store && !isPrint) {
+		if info.Load || (info.Store && in.Op != isa.OpPrinti && in.Op != isa.OpPrintf) {
 			f |= fMem
 		}
 		if classBinds[cl] {
@@ -296,7 +242,6 @@ func predecodeInto(dec []decoded, p *isa.Program, cfg *machine.Config) []decoded
 		}
 		dec[i] = decoded{
 			op:       in.Op,
-			fop:      in.Op,
 			class:    uint8(cl),
 			flags:    f,
 			dst:      in.Dst,
@@ -309,33 +254,6 @@ func predecodeInto(dec []decoded, p *isa.Program, cfg *machine.Config) []decoded
 			lat:      int64(cfg.Latency[cl]),
 			imm:      in.Imm,
 			fimm:     in.FImm,
-		}
-	}
-
-	// Fuse hot pairs. Only instructions whose units cannot bind qualify:
-	// the fused cases inline both instructions' issue steps and elide the
-	// lane scan for both. The second entry of a pair is left intact so
-	// direct jumps to it still work. ALU+branch pairs are chosen first
-	// (they also absorb the block-boundary epilogue); remaining adjacent
-	// ALU pairs are then paired greedily without overlap.
-	fused := make([]bool, n+1)
-	for i := 0; i+1 < n; i++ {
-		a, b := &dec[i], &dec[i+1]
-		if fusibleALU(a.op) && a.flags&fDst != 0 && a.flags&fUnit == 0 &&
-			condBranch(b.op) && b.flags&fUnit == 0 {
-			a.fop = opFusedAluBr
-			fused[i], fused[i+1] = true, true
-		}
-	}
-	for i := 0; i+1 < n; i++ {
-		if fused[i] || fused[i+1] {
-			continue
-		}
-		a, b := &dec[i], &dec[i+1]
-		if fusibleALU(a.op) && a.flags&fDst != 0 && a.flags&fUnit == 0 &&
-			fusibleALU(b.op) && b.flags&fDst != 0 && b.flags&fUnit == 0 {
-			a.fop = opFusedAluAlu
-			fused[i], fused[i+1] = true, true
 		}
 	}
 	return dec

@@ -35,11 +35,12 @@ func (e *Engine) Profile(ctx context.Context, code *Code, memWords int, budget i
 	if err := e.Reset(code.prog, opts); err != nil {
 		return nil, err
 	}
-	// runFast directly, not RunIntoCtx: the budget is a stop point, not an
-	// instruction limit, so hitting it yields state back without error. Any
-	// caches the machine carries are irrelevant here — the architectural
-	// path, and with it the block counters, is identical on every engine
-	// path.
+	// Any caches the machine carries are irrelevant here — the
+	// architectural path, and with it the block counters, is the same with
+	// or without them — so drop them and keep trace replay. runFast
+	// directly, not RunIntoCtx: the budget is a stop point, not an
+	// instruction limit, so hitting it yields state back without error.
+	e.icache, e.dcache = nil, nil
 	if err := e.runFast(ctx, math.MaxInt64, budget); err != nil {
 		return nil, err
 	}
@@ -48,7 +49,7 @@ func (e *Engine) Profile(ctx context.Context, code *Code, memWords int, budget i
 		Count: make([]int64, n),
 		Taken: make([]int64, n),
 	}
-	// The same prefix fold as fillResult's fast path: the number of open
+	// The same prefix fold as fillResult's: the number of open
 	// contiguous execution runs covering pc is its execution count, and
 	// exit[pc] is its taken-transfer count.
 	var live int64

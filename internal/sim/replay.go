@@ -24,8 +24,8 @@ const (
 
 // uopEnd terminates a trace's micro-op stream: leave through exit aux (the
 // final fallthrough). It extends the architectural opcode space the same way
-// the predecoder's fused opcodes do.
-const uopEnd = isa.Opcode(isa.NumOpcodes + 3)
+// the predecoder's sentinel opOutOfRange does.
+const uopEnd = isa.Opcode(isa.NumOpcodes + 1)
 
 // regSink is the scratch register index micro-ops write when the
 // architectural destination is the hardwired zero: e.regs is 256 wide (only

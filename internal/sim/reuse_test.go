@@ -12,7 +12,6 @@ package sim
 import (
 	"context"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -114,7 +113,8 @@ func divByZeroProgram() *isa.Program {
 }
 
 // TestBatchBitIdentical runs every cell back to back on one engine and
-// requires each result DeepEqual to a fresh Run of the same cell.
+// requires each result bit-identical (sameResult) to a fresh Run of the
+// same cell.
 func TestBatchBitIdentical(t *testing.T) {
 	cells := batchCells(t)
 	results, errs := make([]*Result, len(cells)), make([]error, len(cells))
@@ -128,7 +128,7 @@ func TestBatchBitIdentical(t *testing.T) {
 			t.Errorf("cell %d (%s): batch error: %v", i, c.opts.Machine.Name, errs[i])
 			continue
 		}
-		if !reflect.DeepEqual(results[i], want) {
+		if !sameResult(results[i], want) {
 			t.Errorf("cell %d (%s): reused-engine result diverged:\n got %+v\nwant %+v",
 				i, c.opts.Machine.Name, results[i], want)
 		}
@@ -151,7 +151,7 @@ func TestBatchReuse(t *testing.T) {
 		if errs1[i] != nil || errs2[i] != nil {
 			t.Fatalf("cell %d: errors %v / %v", i, errs1[i], errs2[i])
 		}
-		if !reflect.DeepEqual(first[i], second[i]) {
+		if !sameResult(first[i], second[i]) {
 			t.Errorf("cell %d: second pass diverged", i)
 		}
 	}
@@ -179,7 +179,7 @@ func TestBatchCellError(t *testing.T) {
 		want, _ := Run(cells[i].prog, cells[i].opts)
 		if errs[i] != nil {
 			t.Errorf("cell %d: unexpected error: %v", i, errs[i])
-		} else if !reflect.DeepEqual(results[i], want) {
+		} else if !sameResult(results[i], want) {
 			t.Errorf("cell %d: result diverged from individual run", i)
 		}
 	}
@@ -204,7 +204,7 @@ func TestBatchCancelled(t *testing.T) {
 }
 
 // TestBatchParallelMatchesSerial pins concurrent engines to one serial
-// engine: same cells, DeepEqual results, across engine counts that divide
+// engine: same cells, bit-identical results, across engine counts that divide
 // the cells evenly and unevenly (more engines than cells included).
 func TestBatchParallelMatchesSerial(t *testing.T) {
 	cells := batchCells(t)
@@ -218,7 +218,7 @@ func TestBatchParallelMatchesSerial(t *testing.T) {
 				t.Errorf("workers=%d cell %d: error mismatch: %v vs %v", workers, i, errs[i], wantErrs[i])
 				continue
 			}
-			if !reflect.DeepEqual(got[i], want[i]) {
+			if !sameResult(got[i], want[i]) {
 				t.Errorf("workers=%d cell %d (%s): parallel result diverged from serial",
 					workers, i, cells[i].opts.Machine.Name)
 			}
@@ -252,7 +252,7 @@ func TestBatchParallelCellError(t *testing.T) {
 		want, _ := Run(cells[i].prog, cells[i].opts)
 		if errs[i] != nil {
 			t.Errorf("cell %d: unexpected error: %v", i, errs[i])
-		} else if !reflect.DeepEqual(results[i], want) {
+		} else if !sameResult(results[i], want) {
 			t.Errorf("cell %d: result diverged from individual run", i)
 		}
 	}
@@ -281,7 +281,7 @@ func TestBatchParallelLimitOneCell(t *testing.T) {
 		want, _ := Run(cells[i].prog, cells[i].opts)
 		if errs[i] != nil {
 			t.Errorf("cell %d: unexpected error: %v", i, errs[i])
-		} else if !reflect.DeepEqual(results[i], want) {
+		} else if !sameResult(results[i], want) {
 			t.Errorf("cell %d: result diverged from individual run", i)
 		}
 	}
@@ -329,7 +329,7 @@ func TestBatchParallelCancelMidShard(t *testing.T) {
 	res2, errs2 := runParallel(context.Background(), engines, short)
 	for i, c := range short {
 		want, _ := Run(c.prog, c.opts)
-		if errs2[i] != nil || !reflect.DeepEqual(res2[i], want) {
+		if errs2[i] != nil || !sameResult(res2[i], want) {
 			t.Errorf("rerun cell %d: res=%v err=%v", i, res2[i], errs2[i])
 		}
 	}

@@ -17,10 +17,11 @@
 // is "compile once per configuration, simulate billions of instructions":
 // at Reset the program is predecoded against the machine description into a
 // flat array of per-instruction facts (operand flags, resolved functional
-// unit, base latency), and the inner loop is split once into a fast path
-// (no caches, no callbacks) and an instrumented path. Engines are reusable
-// and pooled, so repeated runs recycle the memory arena instead of
-// allocating and zeroing 16 MB per simulation. See Engine.
+// unit, base latency), and one timing loop interprets it, replaying proven
+// superblock traces in O(1) where no caches or hooks need to see each
+// instruction. Engines are reusable and pooled, so repeated runs recycle the
+// memory arena instead of allocating and zeroing 16 MB per simulation. See
+// Engine.
 package sim
 
 import (
@@ -39,7 +40,9 @@ type Options struct {
 	// DefaultMemWords.
 	MemWords int
 	// MaxInstructions aborts runaway programs. Defaults to
-	// DefaultMaxInstructions.
+	// DefaultMaxInstructions. The limit is checked at control transfers,
+	// so a straight-line stretch longer than the limit completes; any
+	// loop still trips it.
 	MaxInstructions int64
 	// Code, if set, is a predecoded translation of the program (see
 	// Predecode) to adopt instead of predecoding at Reset. It must have
@@ -52,19 +55,19 @@ type Options struct {
 	// OnIssue, if set, is called for every instruction with its index in
 	// the program, its issue minor cycle and its completion minor cycle.
 	// Used by the pipeline-diagram renderer and by tests. Setting it
-	// selects the instrumented engine path.
+	// turns off trace replay, so every instruction is reported.
 	OnIssue func(idx int, in *isa.Instr, issue, complete int64)
 	// OnTrace, if set, receives the dynamic instruction trace with the
 	// resolved data-memory address (-1 for non-memory instructions).
 	// Used by the trace-limit analysis (package trace). Setting it
-	// selects the instrumented engine path.
+	// turns off trace replay, so every instruction is reported.
 	OnTrace func(idx int, in *isa.Instr, addr int64)
 	// CountInstrs, if set, reports per-instruction dynamic execution and
 	// taken-exit counts in Result.InstrCounts / Result.TakenExits — the
 	// inputs the static timing oracle (internal/statictime,
-	// verify.CheckTiming) needs to bound a run's cycle count. On the fast
-	// path the counts are folded from the block entry/exit counters the
-	// engine already keeps, so the run itself is unaffected.
+	// verify.CheckTiming) needs to bound a run's cycle count. The counts
+	// are folded from the block entry/exit counters the engine already
+	// keeps, so the run itself is unaffected.
 	CountInstrs bool
 }
 

@@ -94,11 +94,15 @@ func BenchmarkSimulatorWithCaches(b *testing.B) {
 	dc := machineCacheConfig
 	cfg.DCache = &dc
 	b.ResetTimer()
+	var instrs int64
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(p, Options{Machine: cfg}); err != nil {
+		r, err := Run(p, Options{Machine: cfg})
+		if err != nil {
 			b.Fatal(err)
 		}
+		instrs += r.Instructions
 	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
 // BenchmarkSimulatorPredecodedBase runs from a shared predecoded Code, so
